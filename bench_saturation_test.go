@@ -22,6 +22,7 @@ import (
 	"tpcxiot/internal/hbase"
 	"tpcxiot/internal/lsm"
 	"tpcxiot/internal/replication"
+	"tpcxiot/internal/telemetry"
 	"tpcxiot/internal/wal"
 )
 
@@ -33,33 +34,9 @@ type slowApplier struct {
 	delay time.Duration
 }
 
-func (s *slowApplier) Put(key, value []byte) error {
+func (s *slowApplier) ApplyBatch(sp telemetry.TSpan, writes []lsm.Write) error {
 	time.Sleep(s.delay)
-	return s.inner.Put(key, value)
-}
-
-func (s *slowApplier) Delete(key []byte) error {
-	time.Sleep(s.delay)
-	return s.inner.Delete(key)
-}
-
-func (s *slowApplier) ApplyBatch(writes []lsm.Write) error {
-	time.Sleep(s.delay)
-	if ba, ok := s.inner.(replication.BatchApplier); ok {
-		return ba.ApplyBatch(writes)
-	}
-	for i := range writes {
-		var err error
-		if writes[i].Delete {
-			err = s.inner.Delete(writes[i].Key)
-		} else {
-			err = s.inner.Put(writes[i].Key, writes[i].Value)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return s.inner.ApplyBatch(sp, writes)
 }
 
 // BenchmarkClusterSaturation drives putsPerWorker unbuffered puts from

@@ -28,33 +28,9 @@ func (g *gatedStallApplier) waitGate() {
 	}
 }
 
-func (g *gatedStallApplier) Put(key, value []byte) error {
+func (g *gatedStallApplier) ApplyBatch(sp telemetry.TSpan, writes []lsm.Write) error {
 	g.waitGate()
-	return g.inner.Put(key, value)
-}
-
-func (g *gatedStallApplier) Delete(key []byte) error {
-	g.waitGate()
-	return g.inner.Delete(key)
-}
-
-func (g *gatedStallApplier) ApplyBatch(writes []lsm.Write) error {
-	g.waitGate()
-	if ba, ok := g.inner.(replication.BatchApplier); ok {
-		return ba.ApplyBatch(writes)
-	}
-	for i := range writes {
-		var err error
-		if writes[i].Delete {
-			err = g.inner.Delete(writes[i].Key)
-		} else {
-			err = g.inner.Put(writes[i].Key, writes[i].Value)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return g.inner.ApplyBatch(sp, writes)
 }
 
 // pacedRunConfig builds the shared driver config for the paced audit tests:

@@ -9,6 +9,7 @@ import (
 
 	"tpcxiot/internal/lsm"
 	"tpcxiot/internal/replication"
+	"tpcxiot/internal/telemetry"
 	"tpcxiot/internal/wal"
 )
 
@@ -43,33 +44,9 @@ func (g *gatedMember) wait() {
 	}
 }
 
-func (g *gatedMember) Put(key, value []byte) error {
+func (g *gatedMember) ApplyBatch(sp telemetry.TSpan, writes []lsm.Write) error {
 	g.wait()
-	return g.inner.Put(key, value)
-}
-
-func (g *gatedMember) Delete(key []byte) error {
-	g.wait()
-	return g.inner.Delete(key)
-}
-
-func (g *gatedMember) ApplyBatch(writes []lsm.Write) error {
-	g.wait()
-	if ba, ok := g.inner.(replication.BatchApplier); ok {
-		return ba.ApplyBatch(writes)
-	}
-	for i := range writes {
-		var err error
-		if writes[i].Delete {
-			err = g.inner.Delete(writes[i].Key)
-		} else {
-			err = g.inner.Put(writes[i].Key, writes[i].Value)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return g.inner.ApplyBatch(sp, writes)
 }
 
 // stragglerCluster builds a 3-node cluster whose member 2 (the second

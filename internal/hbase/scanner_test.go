@@ -365,11 +365,11 @@ func TestScannerLeaseExpiry(t *testing.T) {
 	srv, reg0 := tbl.regions[0].primary, tbl.regions[0].replicas[0]
 
 	// Open and pull one chunk, then abandon the session without closing.
-	stale, err := srv.openScanner(reg0, nil, nil, 0)
+	stale, err := srv.openScanner(telemetry.TSpan{}, reg0, nil, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rows, more, err := srv.next(stale, 4); err != nil || !more || len(rows) != 4 {
+	if rows, more, err := srv.next(telemetry.TSpan{}, stale, 4); err != nil || !more || len(rows) != 4 {
 		t.Fatalf("next = %d rows, more=%v, err=%v", len(rows), more, err)
 	}
 	if n := srv.OpenScannerCount(); n != 1 {
@@ -379,14 +379,14 @@ func TestScannerLeaseExpiry(t *testing.T) {
 	time.Sleep(120 * time.Millisecond) // let the lease lapse
 
 	// Any scanner operation sweeps expired sessions.
-	fresh, err := srv.openScanner(reg0, nil, nil, 0)
+	fresh, err := srv.openScanner(telemetry.TSpan{}, reg0, nil, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n := srv.OpenScannerCount(); n != 1 {
 		t.Fatalf("OpenScannerCount after sweep = %d, want 1 (the fresh session)", n)
 	}
-	if _, _, err := srv.next(stale, 4); !errors.Is(err, ErrUnknownScanner) {
+	if _, _, err := srv.next(telemetry.TSpan{}, stale, 4); !errors.Is(err, ErrUnknownScanner) {
 		t.Fatalf("next on expired id = %v, want ErrUnknownScanner", err)
 	}
 	if got := reg.Counter("hbase.scanner_lease_expiries").Load(); got < 1 {
@@ -394,7 +394,7 @@ func TestScannerLeaseExpiry(t *testing.T) {
 	}
 
 	// The fresh session is unaffected and closes cleanly.
-	if rows, _, err := srv.next(fresh, 4); err != nil || len(rows) != 4 {
+	if rows, _, err := srv.next(telemetry.TSpan{}, fresh, 4); err != nil || len(rows) != 4 {
 		t.Fatalf("fresh next = %d rows, err=%v", len(rows), err)
 	}
 	if err := srv.closeScanner(fresh); err != nil {

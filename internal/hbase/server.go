@@ -252,16 +252,11 @@ type Mutation = lsm.Write
 // mutate is the server-side write RPC: the whole batch executes under one
 // handler slot and ships through the region's replication group as a single
 // batched round — one WAL group append and one memtable critical section
-// per replica, with the replica fan-out running in parallel.
-func (s *RegionServer) mutate(g *replication.Group, batch []Mutation) error {
-	return s.mutateTraced(g, batch, telemetry.TSpan{})
-}
-
-// mutateTraced is mutate under a trace span: the RPC appears as a
-// "server.mutate" span in this server's service, with a
-// "server.handler_wait" child covering time queued for a handler slot and
-// the replication/engine spans beneath.
-func (s *RegionServer) mutateTraced(g *replication.Group, batch []Mutation, parent telemetry.TSpan) error {
+// per replica, with the replica fan-out running in parallel. Under a live
+// parent the RPC appears as a "server.mutate" span in this server's
+// service, with a "server.handler_wait" child covering time queued for a
+// handler slot and the replication/engine spans beneath.
+func (s *RegionServer) mutate(parent telemetry.TSpan, g *replication.Group, batch []Mutation) error {
 	sp := parent.ChildIn(s.service, "server.mutate")
 	defer sp.End()
 	waitSp := sp.Child("server.handler_wait")
@@ -272,7 +267,7 @@ func (s *RegionServer) mutateTraced(g *replication.Group, batch []Mutation, pare
 	waitSp.End()
 	defer s.release()
 	s.requests.Add(1)
-	if err := g.ApplyBatchTraced(sp, batch); err != nil {
+	if err := g.ApplyBatch(sp, batch); err != nil {
 		// A full catch-up queue is the replication layer's overload signal:
 		// surface it as the same retryable shed the handler queue produces.
 		if errors.Is(err, replication.ErrCatchUpFull) {
@@ -288,13 +283,9 @@ func (s *RegionServer) mutateTraced(g *replication.Group, batch []Mutation, pare
 	return nil
 }
 
-// get is the server-side point-read RPC, served from the primary replica.
-func (s *RegionServer) get(r *region.Region, key []byte) ([]byte, bool, error) {
-	return s.getTraced(r, key, telemetry.TSpan{})
-}
-
-// getTraced is get under a trace span ("server.get").
-func (s *RegionServer) getTraced(r *region.Region, key []byte, parent telemetry.TSpan) ([]byte, bool, error) {
+// get is the server-side point-read RPC, served from the primary replica
+// ("server.get" in the trace tree).
+func (s *RegionServer) get(parent telemetry.TSpan, r *region.Region, key []byte) ([]byte, bool, error) {
 	sp := parent.ChildIn(s.service, "server.get")
 	defer sp.End()
 	waitSp := sp.Child("server.handler_wait")
@@ -318,13 +309,9 @@ type Row struct {
 
 // openScanner is the scanner-session open RPC: it pins an LSM snapshot over
 // [lo, hi) on the region and registers a leased session. limit <= 0 means
-// unlimited. The scanner id is only meaningful on this server.
-func (s *RegionServer) openScanner(r *region.Region, lo, hi []byte, limit int) (uint64, error) {
-	return s.openScannerTraced(r, lo, hi, limit, telemetry.TSpan{})
-}
-
-// openScannerTraced is openScanner under a trace span ("server.scan_open").
-func (s *RegionServer) openScannerTraced(r *region.Region, lo, hi []byte, limit int, parent telemetry.TSpan) (uint64, error) {
+// unlimited. The scanner id is only meaningful on this server
+// ("server.scan_open" in the trace tree).
+func (s *RegionServer) openScanner(parent telemetry.TSpan, r *region.Region, lo, hi []byte, limit int) (uint64, error) {
 	sp := parent.ChildIn(s.service, "server.scan_open")
 	defer sp.End()
 	waitSp := sp.Child("server.handler_wait")
@@ -352,13 +339,9 @@ func (s *RegionServer) openScannerTraced(r *region.Region, lo, hi []byte, limit 
 // ONE handler slot — a long scan occupies a handler per chunk, not for its
 // whole lifetime, so concurrent ingest keeps flowing between chunks.
 // more=false means the scan is finished (bound, limit or error) and the
-// server has already closed the session.
-func (s *RegionServer) next(id uint64, chunk int) (rows []Row, more bool, err error) {
-	return s.nextTraced(id, chunk, telemetry.TSpan{})
-}
-
-// nextTraced is next under a trace span ("server.scan_next").
-func (s *RegionServer) nextTraced(id uint64, chunk int, parent telemetry.TSpan) (rows []Row, more bool, err error) {
+// server has already closed the session ("server.scan_next" in the trace
+// tree).
+func (s *RegionServer) next(parent telemetry.TSpan, id uint64, chunk int) (rows []Row, more bool, err error) {
 	tsp := parent.ChildIn(s.service, "server.scan_next")
 	defer tsp.End()
 	waitSp := tsp.Child("server.handler_wait")
@@ -431,15 +414,10 @@ func (s *RegionServer) nextTraced(id uint64, chunk int, parent telemetry.TSpan) 
 // whole fold, which runs inside the region against a snapshot-pinned
 // iterator with file-level key/time/Bloom pruning, and only the per-window
 // partials come back — the rows are reduced where they live. Reads take
-// acquire (never shed), consistent with get and the scanner RPCs.
-func (s *RegionServer) aggregate(r *region.Region, lo, hi []byte, minTS, maxTS, windowMS int64, funcs lsm.AggFuncs) (lsm.AggResult, error) {
-	return s.aggregateTraced(r, lo, hi, minTS, maxTS, windowMS, funcs, telemetry.TSpan{})
-}
-
-// aggregateTraced is aggregate under a trace span: the RPC appears as
-// "server.aggregate" in this server's service with the handler wait and the
-// fold ("agg.fold") as children.
-func (s *RegionServer) aggregateTraced(r *region.Region, lo, hi []byte, minTS, maxTS, windowMS int64, funcs lsm.AggFuncs, parent telemetry.TSpan) (lsm.AggResult, error) {
+// acquire (never shed), consistent with get and the scanner RPCs. Under a
+// live parent the RPC appears as "server.aggregate" in this server's
+// service with the handler wait and the fold ("agg.fold") as children.
+func (s *RegionServer) aggregate(parent telemetry.TSpan, r *region.Region, lo, hi []byte, minTS, maxTS, windowMS int64, funcs lsm.AggFuncs) (lsm.AggResult, error) {
 	tsp := parent.ChildIn(s.service, "server.aggregate")
 	defer tsp.End()
 	waitSp := tsp.Child("server.handler_wait")

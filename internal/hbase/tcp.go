@@ -4,11 +4,9 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"math"
 	"net"
 	"sync"
 
-	"tpcxiot/internal/lsm"
 	"tpcxiot/internal/telemetry"
 )
 
@@ -104,202 +102,118 @@ func (cl *Cluster) serveConn(conn net.Conn, srv *RegionServer) {
 // collected in a joined trace whose spans are shipped back on the response
 // frame, right after the status, for client-side stitching.
 func (cl *Cluster) dispatch(req *frameReader, resp *frameWriter, srv *RegionServer) {
-	fail := func(err error) {
-		var over *OverloadedError
-		if errors.As(err, &over) {
-			resp.reset(statusOverloaded)
-			resp.uvarint(uint64(over.RetryAfter.Microseconds()))
-			return
-		}
-		resp.reset(statusErr)
-		resp.str(err.Error())
-	}
-	tctx, err := req.traceContext()
-	if err != nil {
-		fail(err)
-		return
-	}
-	rop := telemetry.JoinRemote(tctx)
-	parent := rop.RemoteParent(tctx)
-	ok := func() {
-		resp.reset(statusOK)
-		resp.spans(rop.TakeSpans())
-	}
-	regionName, err := req.str()
-	if err != nil {
-		fail(err)
-		return
-	}
-	tr := cl.findRegion(regionName)
-	if tr == nil {
-		fail(fmt.Errorf("hbase: unknown region %q", regionName))
-		return
-	}
-
-	switch req.op {
-	case opMutate:
-		n, err := req.uvarint()
-		if err != nil {
-			fail(err)
-			return
-		}
-		batch := make([]Mutation, 0, n)
-		for i := uint64(0); i < n; i++ {
-			del, err := req.uvarint()
-			if err != nil {
-				fail(err)
-				return
-			}
-			key, err := req.bytes()
-			if err != nil {
-				fail(err)
-				return
-			}
-			value, err := req.bytes()
-			if err != nil {
-				fail(err)
-				return
-			}
-			batch = append(batch, Mutation{
-				Key:    append([]byte(nil), key...),
-				Value:  append([]byte(nil), value...),
-				Delete: del == 1,
-			})
-		}
-		if err := srv.mutateTraced(tr.group, batch, parent); err != nil {
-			fail(err)
-			return
-		}
-		ok()
-
-	case opGet:
-		key, err := req.bytes()
-		if err != nil {
-			fail(err)
-			return
-		}
-		v, found, err := srv.getTraced(tr.replicas[0], key, parent)
-		if err != nil {
-			fail(err)
-			return
-		}
-		ok()
-		if found {
-			resp.uvarint(1)
-			resp.bytes(v)
+	tctx, regionName := req.request()
+	c := rpcCall{srv: srv, req: req, resp: resp}
+	err := req.err
+	if err == nil {
+		c.rop = telemetry.JoinRemote(tctx)
+		c.parent = c.rop.RemoteParent(tctx)
+		if c.tr = cl.findRegion(regionName); c.tr == nil {
+			err = fmt.Errorf("hbase: unknown region %q", regionName)
+		} else if int(req.op) >= len(handlers) || handlers[req.op] == nil {
+			err = fmt.Errorf("hbase: unknown opcode %d", req.op)
 		} else {
-			resp.uvarint(0)
+			err = handlers[req.op](c)
 		}
-
-	case opScanOpen:
-		lo, err := req.optBytes()
-		if err != nil {
-			fail(err)
-			return
-		}
-		hi, err := req.optBytes()
-		if err != nil {
-			fail(err)
-			return
-		}
-		limit, err := req.uvarint()
-		if err != nil {
-			fail(err)
-			return
-		}
-		id, err := srv.openScannerTraced(tr.replicas[0], lo, hi, int(limit), parent)
-		if err != nil {
-			fail(err)
-			return
-		}
-		ok()
-		resp.uvarint(id)
-
-	case opScanNext:
-		id, err := req.uvarint()
-		if err != nil {
-			fail(err)
-			return
-		}
-		chunk, err := req.uvarint()
-		if err != nil {
-			fail(err)
-			return
-		}
-		rows, more, err := srv.nextTraced(id, int(chunk), parent)
-		if err != nil {
-			fail(err)
-			return
-		}
-		ok()
-		if more {
-			resp.uvarint(1)
-		} else {
-			resp.uvarint(0)
-		}
-		resp.uvarint(uint64(len(rows)))
-		for _, row := range rows {
-			resp.bytes(row.Key)
-			resp.bytes(row.Value)
-		}
-
-	case opAggregate:
-		lo, err := req.optBytes()
-		if err != nil {
-			fail(err)
-			return
-		}
-		hi, err := req.optBytes()
-		if err != nil {
-			fail(err)
-			return
-		}
-		var minTS, maxTS, windowMS uint64
-		for _, dst := range []*uint64{&minTS, &maxTS, &windowMS} {
-			if *dst, err = req.uvarint(); err != nil {
-				fail(err)
-				return
-			}
-		}
-		funcs, err := req.uvarint()
-		if err != nil {
-			fail(err)
-			return
-		}
-		res, err := srv.aggregateTraced(tr.replicas[0], lo, hi,
-			int64(minTS), int64(maxTS), int64(windowMS), lsm.AggFuncs(funcs), parent)
-		if err != nil {
-			fail(err)
-			return
-		}
-		ok()
-		resp.uvarint(uint64(res.RowsFolded))
-		resp.uvarint(uint64(len(res.Windows)))
-		for i := range res.Windows {
-			w := &res.Windows[i]
-			resp.bytes(w.Series)
-			resp.uvarint(uint64(w.WindowStart))
-			resp.uvarint(uint64(w.Count))
-			resp.uvarint(math.Float64bits(w.Min))
-			resp.uvarint(math.Float64bits(w.Max))
-			resp.uvarint(math.Float64bits(w.Sum))
-		}
-
-	case opScanClose:
-		id, err := req.uvarint()
-		if err != nil {
-			fail(err)
-			return
-		}
-		if err := srv.closeScanner(id); err != nil {
-			fail(err)
-			return
-		}
-		ok()
-
-	default:
-		fail(fmt.Errorf("hbase: unknown opcode %d", req.op))
 	}
+	if err != nil {
+		resp.fail(err)
+	}
+}
+
+// rpcCall is one request being served: the target server and region, the
+// parent span server work hangs under, and the request and response frames
+// positioned after the request header.
+type rpcCall struct {
+	srv    *RegionServer
+	tr     *tableRegion
+	rop    *telemetry.OpTrace
+	parent telemetry.TSpan
+	req    *frameReader
+	resp   *frameWriter
+}
+
+// ok starts the success response, shipping back the server-side spans of a
+// sampled request, and returns the frame for the results.
+func (c rpcCall) ok() *frameWriter {
+	c.resp.ok(c.rop.TakeSpans())
+	return c.resp
+}
+
+// handlers is the server side of every RPC, indexed by opcode: decode the
+// request body, run the server method, encode the response. An error
+// becomes an error response.
+var handlers = [...]func(c rpcCall) error{
+	opMutate: func(c rpcCall) error {
+		var m mutateRequest
+		if err := m.decode(c.req); err != nil {
+			return err
+		}
+		if err := c.srv.mutate(c.parent, c.tr.group, m.batch); err != nil {
+			return err
+		}
+		c.ok()
+		return nil
+	},
+	opGet: func(c rpcCall) error {
+		var m getRequest
+		if err := m.decode(c.req); err != nil {
+			return err
+		}
+		v, found, err := c.srv.get(c.parent, c.tr.replicas[0], m.key)
+		if err != nil {
+			return err
+		}
+		getResponse{value: v, found: found}.encode(c.ok())
+		return nil
+	},
+	opScanOpen: func(c rpcCall) error {
+		var m scanOpenRequest
+		if err := m.decode(c.req); err != nil {
+			return err
+		}
+		id, err := c.srv.openScanner(c.parent, c.tr.replicas[0], m.lo, m.hi, int(m.limit))
+		if err != nil {
+			return err
+		}
+		scannerRef{id: id}.encode(c.ok())
+		return nil
+	},
+	opScanNext: func(c rpcCall) error {
+		var m scanNextRequest
+		if err := m.decode(c.req); err != nil {
+			return err
+		}
+		rows, more, err := c.srv.next(c.parent, m.id, int(m.chunk))
+		if err != nil {
+			return err
+		}
+		scanNextResponse{rows: rows, more: more}.encode(c.ok())
+		return nil
+	},
+	opScanClose: func(c rpcCall) error {
+		var m scannerRef
+		if err := m.decode(c.req); err != nil {
+			return err
+		}
+		if err := c.srv.closeScanner(m.id); err != nil {
+			return err
+		}
+		c.ok()
+		return nil
+	},
+	opAggregate: func(c rpcCall) error {
+		var m aggregateRequest
+		if err := m.decode(c.req); err != nil {
+			return err
+		}
+		res, err := c.srv.aggregate(c.parent, c.tr.replicas[0], m.lo, m.hi, m.minTS, m.maxTS, m.windowMS, m.funcs)
+		if err != nil {
+			return err
+		}
+		aggregateResponse{res: res}.encode(c.ok())
+		return nil
+	},
 }
 
 // findRegion resolves a region name to its routing entry.

@@ -285,23 +285,26 @@ func TestWireFormatRoundTrip(t *testing.T) {
 	if fr.op != opScanOpen {
 		t.Fatalf("op = %d", fr.op)
 	}
-	if s, _ := fr.str(); s != "region-name" {
+	if s := fr.str(); s != "region-name" {
 		t.Fatalf("str = %q", s)
 	}
-	if b, err := fr.optBytes(); err != nil || b != nil {
-		t.Fatalf("nil optional = %v, %v", b, err)
+	if b := fr.optBytes(); b != nil {
+		t.Fatalf("nil optional = %v", b)
 	}
-	if b, err := fr.optBytes(); err != nil || b == nil || len(b) != 0 {
-		t.Fatalf("empty optional = %v, %v", b, err)
+	if b := fr.optBytes(); b == nil || len(b) != 0 {
+		t.Fatalf("empty optional = %v", b)
 	}
-	if b, _ := fr.optBytes(); string(b) != "bound" {
+	if b := fr.optBytes(); string(b) != "bound" {
 		t.Fatalf("bound optional = %q", b)
 	}
-	if v, _ := fr.uvarint(); v != 12345 {
+	if v := fr.uvarint(); v != 12345 {
 		t.Fatalf("uvarint = %d", v)
 	}
-	if b, _ := fr.bytes(); string(b) != "payload" {
+	if b := fr.bytes(); string(b) != "payload" {
 		t.Fatalf("bytes = %q", b)
+	}
+	if fr.err != nil {
+		t.Fatal(fr.err)
 	}
 }
 
@@ -326,7 +329,7 @@ func TestWireFormatRejectsGarbage(t *testing.T) {
 	if err := fr.readFrame(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fr.bytes(); !errors.Is(err, ErrBadFrame) {
-		t.Fatalf("overrunning field: %v", err)
+	if b := fr.bytes(); b != nil || !errors.Is(fr.err, ErrBadFrame) {
+		t.Fatalf("overrunning field: %q, %v", b, fr.err)
 	}
 }

@@ -2,11 +2,8 @@ package hbase
 
 import (
 	"bufio"
-	"errors"
 	"fmt"
-	"math"
 	"net"
-	"time"
 
 	"tpcxiot/internal/lsm"
 	"tpcxiot/internal/telemetry"
@@ -35,19 +32,19 @@ type transport interface {
 type inprocTransport struct{}
 
 func (inprocTransport) mutate(tr *tableRegion, batch []Mutation, sp telemetry.TSpan) error {
-	return tr.primary.mutateTraced(tr.group, batch, sp)
+	return tr.primary.mutate(sp, tr.group, batch)
 }
 
 func (inprocTransport) get(tr *tableRegion, key []byte, sp telemetry.TSpan) ([]byte, bool, error) {
-	return tr.primary.getTraced(tr.replicas[0], key, sp)
+	return tr.primary.get(sp, tr.replicas[0], key)
 }
 
 func (inprocTransport) openScanner(tr *tableRegion, lo, hi []byte, limit int, sp telemetry.TSpan) (uint64, error) {
-	return tr.primary.openScannerTraced(tr.replicas[0], lo, hi, limit, sp)
+	return tr.primary.openScanner(sp, tr.replicas[0], lo, hi, limit)
 }
 
 func (inprocTransport) scanNext(tr *tableRegion, id uint64, chunk int, sp telemetry.TSpan) ([]Row, bool, error) {
-	return tr.primary.nextTraced(id, chunk, sp)
+	return tr.primary.next(sp, id, chunk)
 }
 
 func (inprocTransport) closeScanner(tr *tableRegion, id uint64, sp telemetry.TSpan) error {
@@ -55,7 +52,7 @@ func (inprocTransport) closeScanner(tr *tableRegion, id uint64, sp telemetry.TSp
 }
 
 func (inprocTransport) aggregate(tr *tableRegion, lo, hi []byte, minTS, maxTS, windowMS int64, funcs lsm.AggFuncs, sp telemetry.TSpan) (lsm.AggResult, error) {
-	return tr.primary.aggregateTraced(tr.replicas[0], lo, hi, minTS, maxTS, windowMS, funcs, sp)
+	return tr.primary.aggregate(sp, tr.replicas[0], lo, hi, minTS, maxTS, windowMS, funcs)
 }
 
 func (inprocTransport) close() error { return nil }
@@ -112,50 +109,35 @@ func (t *tcpTransport) conn(srv *RegionServer) (*tcpConn, error) {
 }
 
 // call sends the request frame and reads the response into resp. On
-// transport errors the connection is discarded so the next call redials.
-// For sampled operations the server's span block is parsed off the response
-// and stitched under sp's trace before any result field is read.
+// transport errors the connection is discarded so the next call redials;
+// a server-side error or a shed leaves it usable. For sampled operations
+// the server's span block is parsed off the response and stitched under
+// sp's trace before any result field is read.
 func (t *tcpTransport) call(srv *RegionServer, req *frameWriter, resp *frameReader, sp telemetry.TSpan) error {
 	c, err := t.conn(srv)
 	if err != nil {
 		return err
 	}
-	fail := func(err error) error {
+	err = req.flush(c.w)
+	if err == nil {
+		err = c.w.Flush()
+	}
+	if err == nil {
+		err = resp.readFrame(c.r)
+	}
+	var spans []telemetry.SpanRecord
+	var remote error
+	if err == nil {
+		spans, remote = resp.status()
+		err = resp.err
+	}
+	if err != nil {
 		c.c.Close()
 		delete(t.conns, srv)
 		return err
 	}
-	if err := req.flush(c.w); err != nil {
-		return fail(err)
-	}
-	if err := c.w.Flush(); err != nil {
-		return fail(err)
-	}
-	if err := resp.readFrame(c.r); err != nil {
-		return fail(err)
-	}
-	if resp.op == statusErr {
-		msg, err := resp.str()
-		if err != nil {
-			return fail(err)
-		}
-		return errors.New(msg) // server-side error; connection stays usable
-	}
-	if resp.op == statusOverloaded {
-		us, err := resp.uvarint()
-		if err != nil {
-			return fail(err)
-		}
-		// A shed is a healthy refusal: reconstruct the typed retryable
-		// error; the connection stays usable for the retry.
-		return &OverloadedError{RetryAfter: time.Duration(us) * time.Microsecond}
-	}
-	if resp.op != statusOK {
-		return fail(fmt.Errorf("%w: status %d", ErrBadFrame, resp.op))
-	}
-	spans, err := resp.spans()
-	if err != nil {
-		return fail(err)
+	if remote != nil {
+		return remote
 	}
 	sp.AddRemoteSpans(spans)
 	return nil
@@ -164,163 +146,75 @@ func (t *tcpTransport) call(srv *RegionServer, req *frameWriter, resp *frameRead
 func (t *tcpTransport) mutate(tr *tableRegion, batch []Mutation, sp telemetry.TSpan) error {
 	var req frameWriter
 	var resp frameReader
-	req.reset(opMutate)
-	req.trace(sp)
-	req.str(tr.info.Name)
-	req.uvarint(uint64(len(batch)))
-	for _, m := range batch {
-		if m.Delete {
-			req.uvarint(1)
-		} else {
-			req.uvarint(0)
-		}
-		req.bytes(m.Key)
-		req.bytes(m.Value)
-	}
+	req.request(opMutate, sp.Context(), tr.info.Name)
+	mutateRequest{batch: batch}.encode(&req)
 	return t.call(tr.primary, &req, &resp, sp)
 }
 
 func (t *tcpTransport) get(tr *tableRegion, key []byte, sp telemetry.TSpan) ([]byte, bool, error) {
 	var req frameWriter
 	var resp frameReader
-	req.reset(opGet)
-	req.trace(sp)
-	req.str(tr.info.Name)
-	req.bytes(key)
+	req.request(opGet, sp.Context(), tr.info.Name)
+	getRequest{key: key}.encode(&req)
 	if err := t.call(tr.primary, &req, &resp, sp); err != nil {
 		return nil, false, err
 	}
-	found, err := resp.uvarint()
-	if err != nil {
-		return nil, false, err
-	}
-	if found == 0 {
-		return nil, false, nil
-	}
-	v, err := resp.bytes()
-	if err != nil {
-		return nil, false, err
-	}
-	return append([]byte(nil), v...), true, nil
+	var m getResponse
+	err := m.decode(&resp)
+	return m.value, m.found, err
 }
 
 func (t *tcpTransport) openScanner(tr *tableRegion, lo, hi []byte, limit int, sp telemetry.TSpan) (uint64, error) {
 	var req frameWriter
 	var resp frameReader
-	req.reset(opScanOpen)
-	req.trace(sp)
-	req.str(tr.info.Name)
-	req.optBytes(lo)
-	req.optBytes(hi)
-	req.uvarint(uint64(limit))
+	req.request(opScanOpen, sp.Context(), tr.info.Name)
+	scanOpenRequest{lo: lo, hi: hi, limit: uint64(limit)}.encode(&req)
 	if err := t.call(tr.primary, &req, &resp, sp); err != nil {
 		return 0, err
 	}
-	return resp.uvarint()
+	var m scannerRef
+	err := m.decode(&resp)
+	return m.id, err
 }
 
 func (t *tcpTransport) scanNext(tr *tableRegion, id uint64, chunk int, sp telemetry.TSpan) ([]Row, bool, error) {
 	var req frameWriter
 	var resp frameReader
-	req.reset(opScanNext)
-	req.trace(sp)
-	req.str(tr.info.Name)
-	req.uvarint(id)
-	req.uvarint(uint64(chunk))
+	req.request(opScanNext, sp.Context(), tr.info.Name)
+	scanNextRequest{id: id, chunk: uint64(chunk)}.encode(&req)
 	if err := t.call(tr.primary, &req, &resp, sp); err != nil {
 		return nil, false, err
 	}
-	more, err := resp.uvarint()
-	if err != nil {
+	// The rows alias the frame buffer; resp is stack-local, so dropping the
+	// reference is all the detaching needed.
+	var m scanNextResponse
+	if err := m.decode(&resp); err != nil {
 		return nil, false, err
 	}
-	n, err := resp.uvarint()
-	if err != nil {
-		return nil, false, err
-	}
-	rows := make([]Row, 0, n)
-	for i := uint64(0); i < n; i++ {
-		k, err := resp.bytes()
-		if err != nil {
-			return nil, false, err
-		}
-		v, err := resp.bytes()
-		if err != nil {
-			return nil, false, err
-		}
-		rows = append(rows, Row{Key: k, Value: v})
-	}
-	// The rows alias the frame buffer; hand its ownership to them instead
-	// of re-copying every key and value. resp is stack-local, so dropping
-	// the reference is all the detaching needed.
-	return rows, more == 1, nil
+	return m.rows, m.more, nil
 }
 
 func (t *tcpTransport) aggregate(tr *tableRegion, lo, hi []byte, minTS, maxTS, windowMS int64, funcs lsm.AggFuncs, sp telemetry.TSpan) (lsm.AggResult, error) {
 	var req frameWriter
 	var resp frameReader
-	req.reset(opAggregate)
-	req.trace(sp)
-	req.str(tr.info.Name)
-	req.optBytes(lo)
-	req.optBytes(hi)
-	req.uvarint(uint64(minTS))
-	req.uvarint(uint64(maxTS))
-	req.uvarint(uint64(windowMS))
-	req.uvarint(uint64(funcs))
+	req.request(opAggregate, sp.Context(), tr.info.Name)
+	aggregateRequest{lo: lo, hi: hi, minTS: minTS, maxTS: maxTS, windowMS: windowMS, funcs: funcs}.encode(&req)
 	if err := t.call(tr.primary, &req, &resp, sp); err != nil {
 		return lsm.AggResult{}, err
 	}
-	var res lsm.AggResult
-	folded, err := resp.uvarint()
-	if err != nil {
+	var m aggregateResponse
+	if err := m.decode(&resp); err != nil {
 		return lsm.AggResult{}, err
 	}
-	res.RowsFolded = int64(folded)
-	n, err := resp.uvarint()
-	if err != nil {
-		return lsm.AggResult{}, err
-	}
-	capHint := n
-	if capHint > 4096 {
-		capHint = 4096 // bound the pre-allocation; a bogus count fails below
-	}
-	res.Windows = make([]lsm.WindowAgg, 0, capHint)
-	for i := uint64(0); i < n; i++ {
-		var w lsm.WindowAgg
-		series, err := resp.bytes()
-		if err != nil {
-			return lsm.AggResult{}, err
-		}
-		w.Series = append([]byte(nil), series...)
-		ws, err := resp.uvarint()
-		if err != nil {
-			return lsm.AggResult{}, err
-		}
-		w.WindowStart = int64(ws)
-		count, err := resp.uvarint()
-		if err != nil {
-			return lsm.AggResult{}, err
-		}
-		w.Count = int64(count)
-		for _, dst := range []*float64{&w.Min, &w.Max, &w.Sum} {
-			bits, err := resp.uvarint()
-			if err != nil {
-				return lsm.AggResult{}, err
-			}
-			*dst = math.Float64frombits(bits)
-		}
-		res.Windows = append(res.Windows, w)
-	}
-	return res, nil
+	return m.res, nil
 }
 
+// closeScanner sends no trace header: a close does no traced server work.
 func (t *tcpTransport) closeScanner(tr *tableRegion, id uint64, sp telemetry.TSpan) error {
 	var req frameWriter
 	var resp frameReader
-	req.reset(opScanClose)
-	req.str(tr.info.Name)
-	req.uvarint(id)
+	req.request(opScanClose, telemetry.TraceContext{}, tr.info.Name)
+	scannerRef{id: id}.encode(&req)
 	return t.call(tr.primary, &req, &resp, sp)
 }
 

@@ -13,7 +13,7 @@ import (
 
 func TestApplyBatchBasics(t *testing.T) {
 	s := openTest(t, Options{})
-	if err := s.ApplyBatch(nil); err != nil {
+	if err := s.ApplyBatch(telemetry.TSpan{}, nil); err != nil {
 		t.Fatalf("empty batch: %v", err)
 	}
 	batch := []Write{
@@ -22,7 +22,7 @@ func TestApplyBatchBasics(t *testing.T) {
 		{Key: []byte("c"), Value: []byte("3")},
 		{Key: []byte("b"), Delete: true},
 	}
-	if err := s.ApplyBatch(batch); err != nil {
+	if err := s.ApplyBatch(telemetry.TSpan{}, batch); err != nil {
 		t.Fatal(err)
 	}
 	for _, kv := range []struct{ k, v string }{{"a", "1"}, {"c", "3"}} {
@@ -46,7 +46,7 @@ func TestApplyBatchRejectsEmptyKeyAtomically(t *testing.T) {
 		{Key: []byte("good"), Value: []byte("v")},
 		{Key: nil, Value: []byte("v")},
 	}
-	if err := s.ApplyBatch(batch); !errors.Is(err, ErrBadKey) {
+	if err := s.ApplyBatch(telemetry.TSpan{}, batch); !errors.Is(err, ErrBadKey) {
 		t.Fatalf("batch with empty key: %v", err)
 	}
 	// Validation happens before the WAL append, so nothing landed.
@@ -73,7 +73,7 @@ func TestApplyBatchTelemetryAndWALGrouping(t *testing.T) {
 				Value: []byte("v"),
 			}
 		}
-		if err := s.ApplyBatch(batch); err != nil {
+		if err := s.ApplyBatch(telemetry.TSpan{}, batch); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -97,7 +97,7 @@ func TestApplyBatchAutoFlush(t *testing.T) {
 	for i := range batch {
 		batch[i] = Write{Key: []byte(fmt.Sprintf("flush-key-%03d", i)), Value: big}
 	}
-	if err := s.ApplyBatch(batch); err != nil {
+	if err := s.ApplyBatch(telemetry.TSpan{}, batch); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Flush(); err != nil { // drain any in-flight rotation
@@ -145,7 +145,7 @@ func TestBatchCrashRecoveryParity(t *testing.T) {
 		if end > len(ops) {
 			end = len(ops)
 		}
-		if err := sb.ApplyBatch(ops[i:end]); err != nil {
+		if err := sb.ApplyBatch(telemetry.TSpan{}, ops[i:end]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -212,7 +212,7 @@ func TestConcurrentApplyBatchScanCompact(t *testing.T) {
 						Value: val,
 					}
 				}
-				if err := s.ApplyBatch(batch); err != nil {
+				if err := s.ApplyBatch(telemetry.TSpan{}, batch); err != nil {
 					t.Errorf("writer %d: %v", w, err)
 					return
 				}

@@ -57,8 +57,8 @@ func (s *Store) NewIterator(lo, hi []byte) (*Iter, error) {
 // Beyond the per-entry filter, whole table files are pruned when their
 // footer time bounds cannot intersect the range, so scans over cold windows
 // skip the bulk of the store without any I/O; tables without time bounds
-// (legacy format, or no timestamped keys) are conservatively read and
-// filtered entry by entry.
+// (no timestamped keys) are conservatively read and filtered entry by
+// entry.
 func (s *Store) NewIteratorTime(lo, hi []byte, minTS, maxTS int64) (*Iter, error) {
 	return s.newIter(lo, hi, minTS, maxTS, true)
 }

@@ -296,8 +296,7 @@ type tableHandle struct {
 	// Introspection metadata, immutable after construction. size mirrors
 	// reader.Size so stats never touch a possibly-closed reader; tombstones
 	// is counted at write time (flush knows, full-compaction output has
-	// none) and is -1 for tables recovered from a legacy directory, where
-	// counting would mean a scan.
+	// none) and recorded in the manifest for tables recovered at open.
 	size       int64
 	tombstones int64
 	created    time.Time
@@ -305,8 +304,8 @@ type tableHandle struct {
 	// Pruning metadata mirrored from the reader's footer so Get and
 	// iterator open never touch the reader for tables they will skip.
 	// firstKey/lastKey are the inclusive key bounds; minTS/maxTS the key
-	// timestamp bounds, meaningless when hasTS is false (legacy tables or
-	// keys without timestamps — such tables are never pruned by time).
+	// timestamp bounds, meaningless when hasTS is false (keys without
+	// timestamps — such tables are never pruned by time).
 	firstKey, lastKey []byte
 	minTS, maxTS      int64
 	hasTS             bool
@@ -553,12 +552,11 @@ func (s *Store) tablePath(id uint64) string {
 }
 
 // recoverTables rebuilds the table set at open. The manifest is
-// authoritative: when one exists, exactly the tables it lists are opened and
-// every other .sst (plus .tmp residue and superseded MANIFEST files) is an
-// orphan from an interrupted transition, removed. A directory without a
-// manifest — fresh, or written by an older version that recovered by
-// directory scan — is scanned once and a manifest bootstrapped from the
-// findings.
+// authoritative: exactly the tables it lists are opened and every other .sst
+// (plus .tmp residue and superseded MANIFEST files) is an orphan from an
+// interrupted transition, removed. A fresh directory bootstraps an empty
+// manifest; a directory holding tables but no manifest was not written by
+// this store and is refused with ErrCorrupt, untouched.
 func (s *Store) recoverTables() error {
 	man, live, err := openManifest(s.opts.Dir, s.elog)
 	if err != nil {
@@ -567,93 +565,47 @@ func (s *Store) recoverTables() error {
 	s.manifest = man
 
 	if live == nil {
-		if err := s.loadLegacyTables(); err != nil {
-			return err
-		}
-		metas := make([]tableMeta, 0, len(s.tables))
-		for _, t := range s.tables {
-			metas = append(metas, t.meta())
-		}
-		if err := man.bootstrap(metas); err != nil {
-			return err
-		}
-	} else {
-		metas := make([]tableMeta, 0, len(live))
-		for _, m := range live {
-			metas = append(metas, m)
-		}
-		// Higher ids are newer; order newest first.
-		sort.Slice(metas, func(i, j int) bool { return metas[i].ID > metas[j].ID })
-		for _, m := range metas {
-			path := s.tablePath(m.ID)
-			r, err := sstable.OpenWithCache(path, s.cache)
-			if err != nil {
-				return fmt.Errorf("%w: manifest table %s: %v", ErrCorrupt, path, err)
-			}
-			h := newTableHandle(m.ID, path, r)
-			h.tombstones = m.Tombstones
-			h.created = time.UnixMilli(m.CreatedMS)
-			s.tables = append(s.tables, h)
-			if m.ID >= s.nextID {
-				s.nextID = m.ID + 1
-			}
-		}
-	}
-	return s.removeOrphans(live != nil)
-}
-
-// loadLegacyTables scans the directory for .sst files — the pre-manifest
-// recovery path, kept for migrating existing stores in place.
-func (s *Store) loadLegacyTables() error {
-	entries, err := os.ReadDir(s.opts.Dir)
-	if err != nil {
-		return fmt.Errorf("lsm: read dir: %w", err)
-	}
-	type idPath struct {
-		id   uint64
-		path string
-	}
-	var files []idPath
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasSuffix(name, ".sst") {
-			continue
-		}
-		id, err := strconv.ParseUint(strings.TrimSuffix(name, ".sst"), 10, 64)
+		tables, err := filepath.Glob(filepath.Join(s.opts.Dir, "*.sst"))
 		if err != nil {
-			continue
+			return fmt.Errorf("lsm: read dir: %w", err)
 		}
-		files = append(files, idPath{id, filepath.Join(s.opts.Dir, name)})
+		if len(tables) > 0 {
+			return fmt.Errorf("%w: %d tables but no %s in %s", ErrCorrupt, len(tables), currentName, s.opts.Dir)
+		}
+		if err := man.bootstrap(); err != nil {
+			return err
+		}
+	}
+	metas := make([]tableMeta, 0, len(live))
+	for _, m := range live {
+		metas = append(metas, m)
 	}
 	// Higher ids are newer; order newest first.
-	sort.Slice(files, func(i, j int) bool { return files[i].id > files[j].id })
-	for _, f := range files {
-		r, err := sstable.OpenWithCache(f.path, s.cache)
+	sort.Slice(metas, func(i, j int) bool { return metas[i].ID > metas[j].ID })
+	for _, m := range metas {
+		path := s.tablePath(m.ID)
+		r, err := sstable.OpenWithCache(path, s.cache)
 		if err != nil {
-			return fmt.Errorf("%w: table %s: %v", ErrCorrupt, f.path, err)
+			return fmt.Errorf("%w: manifest table %s: %v", ErrCorrupt, path, err)
 		}
-		h := newTableHandle(f.id, f.path, r)
-		// Recovered tables predate this process; their write time is the
-		// file's mtime, not now.
-		if st, err := os.Stat(f.path); err == nil {
-			h.created = st.ModTime()
-		}
+		h := newTableHandle(m.ID, path, r)
+		h.tombstones = m.Tombstones
+		h.created = time.UnixMilli(m.CreatedMS)
 		s.tables = append(s.tables, h)
-		if f.id >= s.nextID {
-			s.nextID = f.id + 1
+		if m.ID >= s.nextID {
+			s.nextID = m.ID + 1
 		}
 	}
-	return nil
+	return s.removeOrphans()
 }
 
 // removeOrphans sweeps the directory after recovery: .tmp files from
-// interrupted writes, superseded MANIFEST files, and — only when an
-// authoritative manifest was replayed — .sst files the manifest does not
-// reference (committed-but-unlinked compaction inputs, or a flush that
+// interrupted writes, superseded MANIFEST files, and .sst files the
+// manifest does not reference (committed-but-unlinked compaction inputs, or a flush that
 // renamed its table but crashed before the manifest commit; the WAL still
 // holds the latter's contents). Any orphan id seen advances nextID so a new
 // table can never reuse a name that just held different bytes.
-func (s *Store) removeOrphans(haveManifest bool) error {
+func (s *Store) removeOrphans() error {
 	entries, err := os.ReadDir(s.opts.Dir)
 	if err != nil {
 		return fmt.Errorf("lsm: read dir: %w", err)
@@ -672,7 +624,7 @@ func (s *Store) removeOrphans(haveManifest bool) error {
 		case strings.HasPrefix(name, manifestPrefix) && name != curManifest:
 			s.elog.Warn("removing superseded manifest",
 				telemetry.F("file", name))
-		case strings.HasSuffix(name, ".sst") && haveManifest && !liveTables[name]:
+		case strings.HasSuffix(name, ".sst") && !liveTables[name]:
 			s.elog.Warn("removing orphaned table not referenced by manifest",
 				telemetry.F("file", name))
 			if id, err := strconv.ParseUint(strings.TrimSuffix(name, ".sst"), 10, 64); err == nil && id >= s.nextID {
@@ -760,12 +712,12 @@ type Write struct {
 
 // Put stores value under key, durably per the WAL policy.
 func (s *Store) Put(key, value []byte) error {
-	return s.ApplyBatch([]Write{{Key: key, Value: value}})
+	return s.ApplyBatch(telemetry.TSpan{}, []Write{{Key: key, Value: value}})
 }
 
 // Delete removes key by writing a tombstone.
 func (s *Store) Delete(key []byte) error {
-	return s.ApplyBatch([]Write{{Key: key, Delete: true}})
+	return s.ApplyBatch(telemetry.TSpan{}, []Write{{Key: key, Delete: true}})
 }
 
 // tombstoneValue is the stored form of a delete; memtable.Put copies it.
@@ -777,17 +729,14 @@ var tombstoneValue = []byte{tagTombstone}
 // batch. Crash recovery replays the batch record-by-record, so a batch is
 // equivalent to — just much cheaper than — the same writes applied one at a
 // time. An empty batch is a no-op.
-func (s *Store) ApplyBatch(writes []Write) error {
-	return s.ApplyBatchTraced(telemetry.TSpan{}, writes)
-}
-
-// ApplyBatchTraced is ApplyBatch under a trace span. When parent is live the
-// engine round appears as an "lsm.apply_batch" span with children for each
-// stage that actually ran: "lsm.stall_wait" (backpressure blocking, only when
-// the store stalled), "wal.append" (with the group-commit "wal.fsync"
-// beneath it, recorded by the WAL), and "lsm.memtable_insert". With an inert
-// parent this is exactly ApplyBatch — no clock reads, no allocations.
-func (s *Store) ApplyBatchTraced(parent telemetry.TSpan, writes []Write) error {
+//
+// When parent is live the engine round appears as an "lsm.apply_batch" span
+// with children for each stage that actually ran: "lsm.stall_wait"
+// (backpressure blocking, only when the store stalled), "wal.append" (with
+// the group-commit "wal.fsync" beneath it, recorded by the WAL), and
+// "lsm.memtable_insert". An inert parent costs no clock reads and no
+// allocations.
+func (s *Store) ApplyBatch(parent telemetry.TSpan, writes []Write) error {
 	if len(writes) == 0 {
 		return nil
 	}
@@ -848,7 +797,7 @@ func (s *Store) ApplyBatchTraced(parent telemetry.TSpan, writes []Write) error {
 		walCost += int64(len(rec)) + wal.RecordOverhead
 	}
 	walSp := batchSp.Child("wal.append")
-	err := log.AppendTraced(walSp, recs...)
+	err := log.Append(walSp, recs...)
 	walSp.End()
 	if err != nil {
 		if !errors.Is(err, wal.ErrLogFull) {
@@ -859,7 +808,7 @@ func (s *Store) ApplyBatchTraced(parent telemetry.TSpan, writes []Write) error {
 			return fmt.Errorf("lsm: wal full and flush failed: %w", ferr)
 		}
 		retrySp := batchSp.Child("wal.append")
-		err = log.AppendTraced(retrySp, recs...)
+		err = log.Append(retrySp, recs...)
 		retrySp.End()
 		if err != nil {
 			return fmt.Errorf("lsm: wal append after flush: %w", err)
@@ -1482,8 +1431,6 @@ func (s *Store) Stats() Stats {
 
 // TableStat describes one live store file for introspection endpoints.
 // Keys are reported as strings (the benchmark keyspace is printable).
-// Tombstones is -1 for tables recovered at open, where the count is unknown
-// without a scan.
 type TableStat struct {
 	ID         uint64  `json:"id"`
 	Path       string  `json:"path"`

@@ -77,8 +77,8 @@ type manifest struct {
 func manifestName(seq uint64) string { return fmt.Sprintf("%s%06d", manifestPrefix, seq) }
 
 // openManifest opens the store's manifest and replays it. The returned map
-// is the live table set (nil when no manifest exists yet — a fresh or
-// legacy directory); the caller bootstraps one via bootstrap in that case.
+// is the live table set (nil when no manifest exists yet — a fresh
+// directory); the caller bootstraps one via bootstrap in that case.
 func openManifest(dir string, elog *telemetry.Logger) (*manifest, map[uint64]tableMeta, error) {
 	cur, err := os.ReadFile(filepath.Join(dir, currentName))
 	if errors.Is(err, os.ErrNotExist) {
@@ -173,16 +173,15 @@ func encodeManifestRecord(edit manifestEdit) ([]byte, error) {
 	return rec, nil
 }
 
-// bootstrap creates the first manifest for a directory, seeded with the
-// given table set (empty for a fresh store, the directory scan's findings
-// for a legacy one). The manifest file is written and synced before CURRENT
-// appears, so a crash mid-bootstrap leaves no CURRENT and the next open
-// simply bootstraps again.
-func (m *manifest) bootstrap(tables []tableMeta) error {
+// bootstrap creates the first, empty manifest for a fresh directory. The
+// manifest file is written and synced before CURRENT appears, so a crash
+// mid-bootstrap leaves no CURRENT and the next open simply bootstraps
+// again.
+func (m *manifest) bootstrap() error {
 	if m.f != nil {
 		return errors.New("lsm: manifest already open")
 	}
-	return m.writeSnapshot(m.seq+1, tables)
+	return m.writeSnapshot(m.seq+1, nil)
 }
 
 // logEdit appends one committed transition and syncs it to disk. Rotation

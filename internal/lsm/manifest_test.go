@@ -1,9 +1,11 @@
 package lsm
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -205,10 +207,10 @@ func TestManifestTornTailTruncated(t *testing.T) {
 	}
 }
 
-// TestLegacyDirectoryMigration: a directory written before the manifest
-// existed (tables but no CURRENT) is scanned once and a manifest bootstrapped
-// from the findings.
-func TestLegacyDirectoryMigration(t *testing.T) {
+// TestManifestlessDirectoryRefused: a directory holding tables but no
+// CURRENT was not written by this store. Open refuses it with ErrCorrupt
+// and leaves every file in place.
+func TestManifestlessDirectoryRefused(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(Options{Dir: dir, WALSync: wal.SyncNever, DisableAutoFlush: true})
 	if err != nil {
@@ -225,32 +227,30 @@ func TestLegacyDirectoryMigration(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Strip the manifest machinery: what an old-version directory looks like.
 	if err := os.Remove(filepath.Join(dir, currentName)); err != nil {
 		t.Fatal(err)
 	}
-	matches, err := filepath.Glob(filepath.Join(dir, manifestPrefix+"*"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range matches {
-		if err := os.Remove(m); err != nil {
+	listing := func() []string {
+		var names []string
+		err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+			names = append(names, path)
+			return err
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
+		return names
 	}
+	before := listing()
 
-	re, err := Open(Options{Dir: dir, WALSync: wal.SyncNever})
-	if err != nil {
-		t.Fatalf("open legacy directory: %v", err)
-	}
-	defer re.Close()
-	for i := 0; i < 3; i++ {
-		if v, ok, err := re.Get([]byte(fmt.Sprintf("k%d", i))); err != nil || !ok || string(v) != "v" {
-			t.Fatalf("Get(k%d) = %q,%v,%v after migration", i, v, ok, err)
+	if re, err := Open(Options{Dir: dir, WALSync: wal.SyncNever}); !errors.Is(err, ErrCorrupt) {
+		if re != nil {
+			re.Close()
 		}
+		t.Fatalf("open of a directory with tables but no CURRENT: err = %v, want ErrCorrupt", err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, currentName)); err != nil {
-		t.Fatalf("migration did not bootstrap a manifest: %v", err)
+	if after := listing(); !reflect.DeepEqual(before, after) {
+		t.Fatalf("refused open changed the directory:\nbefore %v\nafter  %v", before, after)
 	}
 }
 
@@ -261,7 +261,7 @@ func TestLegacyDirectoryMigration(t *testing.T) {
 func TestManifestRotationBoundsRecoveryCost(t *testing.T) {
 	dir := t.TempDir()
 	m := &manifest{dir: dir}
-	if err := m.bootstrap(nil); err != nil {
+	if err := m.bootstrap(); err != nil {
 		t.Fatal(err)
 	}
 	// Churn: add table i, delete table i-1. Live set at any point is one id.

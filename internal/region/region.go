@@ -122,23 +122,18 @@ func (r *Region) Delete(key []byte) error {
 // ApplyBatch applies a batch of writes in one engine round: a single
 // bounds-check pass over every key, then the store's batched WAL group
 // append and memtable apply. Rejecting before any write keeps the batch
-// all-or-nothing with respect to region bounds.
-func (r *Region) ApplyBatch(writes []lsm.Write) error {
-	return r.ApplyBatchTraced(telemetry.TSpan{}, writes)
-}
-
-// ApplyBatchTraced is ApplyBatch under a trace span: when parent is live the
+// all-or-nothing with respect to region bounds. When parent is live the
 // apply appears as a "region.apply" span in the region's own service (the
 // node dir plus region name, e.g. "node-02/iot,00001"), with the engine's
 // WAL/memtable children beneath it.
-func (r *Region) ApplyBatchTraced(parent telemetry.TSpan, writes []lsm.Write) error {
+func (r *Region) ApplyBatch(parent telemetry.TSpan, writes []lsm.Write) error {
 	for i := range writes {
 		if !r.info.Contains(writes[i].Key) {
 			return fmt.Errorf("%w: %q not in %s", ErrOutOfRange, writes[i].Key, r.info)
 		}
 	}
 	sp := parent.ChildIn(r.service, "region.apply")
-	err := r.store.ApplyBatchTraced(sp, writes)
+	err := r.store.ApplyBatch(sp, writes)
 	sp.End()
 	return err
 }
@@ -179,9 +174,6 @@ func (r *Region) NewIterator(lo, hi []byte) (*lsm.Iter, error) {
 	}
 	return it, nil
 }
-
-// SizeBytes approximates the region's unflushed data volume.
-func (r *Region) SizeBytes() int64 { return r.store.MemtableBytes() }
 
 // Stats snapshots the backing store's cumulative activity and amplification
 // ledger.

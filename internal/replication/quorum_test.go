@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"tpcxiot/internal/lsm"
+	"tpcxiot/internal/telemetry"
 )
 
 // gatedApplier blocks every batch apply until released, modelling a slow or
@@ -50,7 +51,7 @@ func (g *gatedApplier) wait() {
 	}
 }
 
-func (g *gatedApplier) ApplyBatch(writes []lsm.Write) error {
+func (g *gatedApplier) ApplyBatch(_ telemetry.TSpan, writes []lsm.Write) error {
 	g.wait()
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -66,14 +67,6 @@ func (g *gatedApplier) ApplyBatch(writes []lsm.Write) error {
 		}
 	}
 	return nil
-}
-
-func (g *gatedApplier) Put(key, value []byte) error {
-	return g.ApplyBatch([]lsm.Write{{Key: key, Value: value}})
-}
-
-func (g *gatedApplier) Delete(key []byte) error {
-	return g.ApplyBatch([]lsm.Write{{Key: key, Delete: true}})
 }
 
 func (g *gatedApplier) snapshot() (applies int, order []string, data map[string]string) {
@@ -95,7 +88,7 @@ func TestQuorumAckDoesNotWaitForStraggler(t *testing.T) {
 	defer g.Close()
 
 	done := make(chan error, 1)
-	go func() { done <- g.Put([]byte("k"), []byte("v")) }()
+	go func() { done <- put(g, "k", "v") }()
 	select {
 	case err := <-done:
 		if err != nil {
@@ -146,7 +139,7 @@ func TestCatchUpDrainsInWALOrder(t *testing.T) {
 			{Key: []byte(fmt.Sprintf("k%03d", i)), Value: []byte("v")},
 			{Key: []byte(fmt.Sprintf("x%03d", i)), Value: []byte("v")},
 		}
-		if err := g.ApplyBatch(batch); err != nil {
+		if err := g.ApplyBatch(telemetry.TSpan{}, batch); err != nil {
 			t.Fatalf("batch %d: %v", i, err)
 		}
 	}
@@ -186,7 +179,7 @@ type crashingStore struct {
 	err     error
 }
 
-func (c *crashingStore) ApplyBatch(writes []lsm.Write) error {
+func (c *crashingStore) ApplyBatch(sp telemetry.TSpan, writes []lsm.Write) error {
 	c.mu.Lock()
 	if c.tripAt >= 0 && c.applies >= c.tripAt {
 		err := c.err
@@ -196,15 +189,7 @@ func (c *crashingStore) ApplyBatch(writes []lsm.Write) error {
 	c.applies++
 	st := c.store
 	c.mu.Unlock()
-	return st.ApplyBatch(writes)
-}
-
-func (c *crashingStore) Put(key, value []byte) error {
-	return c.ApplyBatch([]lsm.Write{{Key: key, Value: value}})
-}
-
-func (c *crashingStore) Delete(key []byte) error {
-	return c.ApplyBatch([]lsm.Write{{Key: key, Delete: true}})
+	return st.ApplyBatch(sp, writes)
 }
 
 // (c) A straggler that crashes keeps its retained queue; after the store is
@@ -232,7 +217,7 @@ func TestStragglerCrashRestartReplaysToWatermark(t *testing.T) {
 
 	g := NewGroup(p, r1, flaky)
 	for i := 0; i < total; i++ {
-		if err := g.Put([]byte(fmt.Sprintf("k%03d", i)), []byte(fmt.Sprintf("v%03d", i))); err != nil {
+		if err := put(g, fmt.Sprintf("k%03d", i), fmt.Sprintf("v%03d", i)); err != nil {
 			t.Fatalf("put %d failed despite a healthy quorum: %v", i, err)
 		}
 	}
@@ -303,7 +288,7 @@ func TestLaggingMemberReadGate(t *testing.T) {
 	g := NewGroup(p, r1, straggler)
 	defer g.Close()
 
-	if err := g.Put([]byte("k"), []byte("v")); err != nil {
+	if err := put(g, "k", "v"); err != nil {
 		t.Fatal(err)
 	}
 	if g.CaughtUp(2) {
@@ -354,7 +339,7 @@ func TestFullCatchUpQueueRefusesWrites(t *testing.T) {
 	admitted := 0
 	var refusal error
 	for i := 0; i < maxQueue+2; i++ {
-		err := g.Put([]byte(fmt.Sprintf("k%d", i)), []byte("v"))
+		err := put(g, fmt.Sprintf("k%d", i), "v")
 		if err == nil {
 			admitted++
 			continue
@@ -377,7 +362,7 @@ func TestFullCatchUpQueueRefusesWrites(t *testing.T) {
 	if err := g.Quiesce(); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.Put([]byte("after"), []byte("v")); err != nil {
+	if err := put(g, "after", "v"); err != nil {
 		t.Fatalf("write refused after the queue drained: %v", err)
 	}
 }
@@ -396,7 +381,7 @@ func TestRestartReplayDoesNotDoubleAck(t *testing.T) {
 
 	g := NewGroup(p, r1, flaky)
 	for i := 0; i < 10; i++ {
-		if err := g.Put([]byte(fmt.Sprintf("k%d", i)), []byte("v")); err != nil {
+		if err := put(g, fmt.Sprintf("k%d", i), "v"); err != nil {
 			t.Fatal(err)
 		}
 	}

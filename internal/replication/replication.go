@@ -12,7 +12,7 @@
 // section — onto a bounded per-member catch-up queue. One long-lived worker
 // per member drains its queue strictly in sequence order (the member's WAL
 // order), so every member applies the same batches in the same order.
-// Apply/ApplyBatch return once quorum members — always including the
+// ApplyBatch returns once quorum members — always including the
 // primary — have durably applied the batch; members still behind (the
 // stragglers) catch up asynchronously from their queues, off the caller's
 // critical path.
@@ -76,27 +76,14 @@ var (
 	ErrMemberRunning = errors.New("replication: member worker still running")
 )
 
-// Applier receives replicated mutations. Both the primary store and the
-// replica stores satisfy it.
+// Applier receives replicated batches: both the primary store and the
+// replica stores satisfy it (region.Region, lsm.Store). ApplyBatch applies
+// the whole batch in one engine round — one WAL group append, one memtable
+// critical section — and carries the member's trace span, inert for
+// unsampled operations, so each member's engine work shows up in the
+// operation's span tree.
 type Applier interface {
-	Put(key, value []byte) error
-	Delete(key []byte) error
-}
-
-// BatchApplier is satisfied by members that can apply a whole batch in one
-// engine round (one WAL group append, one memtable critical section) —
-// lsm.Store and region.Region both do. The pipeline uses it when available
-// and falls back to per-key Put/Delete otherwise.
-type BatchApplier interface {
-	ApplyBatch(writes []lsm.Write) error
-}
-
-// TracedBatchApplier is satisfied by members that can carry a trace span
-// through the batch apply (region.Region and lsm.Store), so each member's
-// engine work shows up in the operation's span tree; members without it are
-// applied untraced.
-type TracedBatchApplier interface {
-	ApplyBatchTraced(parent telemetry.TSpan, writes []lsm.Write) error
+	ApplyBatch(parent telemetry.TSpan, writes []lsm.Write) error
 }
 
 // WatermarkObserver is satisfied by members that track their own applied
@@ -329,7 +316,7 @@ func (g *Group) runMember(m *member) {
 		if pb.parent.Traced() {
 			sp = pb.parent.Child("replicate." + strconv.Itoa(m.idx))
 		}
-		err := applyBatchTo(app, pb.writes, sp)
+		err := app.ApplyBatch(sp, pb.writes)
 		sp.End()
 
 		if err != nil {
@@ -386,17 +373,6 @@ func (g *Group) Instrument(reg *telemetry.Registry) {
 	}
 }
 
-// Put replicates one write through the pipeline (a batch of one),
-// returning at quorum.
-func (g *Group) Put(key, value []byte) error {
-	return g.ApplyBatch([]lsm.Write{{Key: key, Value: value}})
-}
-
-// Delete replicates one tombstone through the pipeline, returning at quorum.
-func (g *Group) Delete(key []byte) error {
-	return g.ApplyBatch([]lsm.Write{{Key: key, Delete: true}})
-}
-
 // ApplyBatch submits the batch to every member's catch-up queue and returns
 // once quorum members — always including the primary — have durably applied
 // it; stragglers finish in the background. The batch fails if the primary
@@ -404,17 +380,12 @@ func (g *Group) Delete(key []byte) error {
 // members that already applied keep the writes, the same partial state a
 // crashed fan-out leaves. The group retains the batch until the slowest
 // member applied it, so callers must not reuse the key/value arrays.
-func (g *Group) ApplyBatch(writes []lsm.Write) error {
-	return g.ApplyBatchTraced(telemetry.TSpan{}, writes)
-}
-
-// ApplyBatchTraced is ApplyBatch under a trace span: when parent is live the
-// pipeline appears as a "replication.fanout" span with a
-// "replication.quorum_wait" child covering the blocking portion and one
-// "replicate.N" child per member — a straggler's span completes after the
-// fan-out span, which is exactly the point. With an inert parent this is
-// exactly ApplyBatch.
-func (g *Group) ApplyBatchTraced(parent telemetry.TSpan, writes []lsm.Write) error {
+//
+// When parent is live the pipeline appears as a "replication.fanout" span
+// with a "replication.quorum_wait" child covering the blocking portion and
+// one "replicate.N" child per member — a straggler's span completes after
+// the fan-out span, which is exactly the point.
+func (g *Group) ApplyBatch(parent telemetry.TSpan, writes []lsm.Write) error {
 	if len(writes) == 0 {
 		return nil
 	}
@@ -486,32 +457,6 @@ func (g *Group) ApplyBatchTraced(parent telemetry.TSpan, writes []lsm.Write) err
 		c := g.commit.Load()
 		if pb.seq <= c || g.commit.CompareAndSwap(c, pb.seq) {
 			break
-		}
-	}
-	return nil
-}
-
-// applyBatchTo delivers the batch to one member: in one round when the
-// member supports it, key by key otherwise.
-func applyBatchTo(m Applier, writes []lsm.Write, sp telemetry.TSpan) error {
-	if sp.Traced() {
-		if ta, ok := m.(TracedBatchApplier); ok {
-			return ta.ApplyBatchTraced(sp, writes)
-		}
-	}
-	if ba, ok := m.(BatchApplier); ok {
-		return ba.ApplyBatch(writes)
-	}
-	for i := range writes {
-		w := &writes[i]
-		var err error
-		if w.Delete {
-			err = m.Delete(w.Key)
-		} else {
-			err = m.Put(w.Key, w.Value)
-		}
-		if err != nil {
-			return err
 		}
 	}
 	return nil

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"tpcxiot/internal/lsm"
+	"tpcxiot/internal/telemetry"
 )
 
 // mapApplier is an in-memory Applier for tests.
@@ -16,20 +17,27 @@ type mapApplier struct {
 
 func newMapApplier() *mapApplier { return &mapApplier{data: map[string]string{}} }
 
-func (m *mapApplier) Put(key, value []byte) error {
+func (m *mapApplier) ApplyBatch(_ telemetry.TSpan, writes []lsm.Write) error {
 	if m.fail != nil {
 		return m.fail
 	}
-	m.data[string(key)] = string(value)
+	for i := range writes {
+		if writes[i].Delete {
+			delete(m.data, string(writes[i].Key))
+		} else {
+			m.data[string(writes[i].Key)] = string(writes[i].Value)
+		}
+	}
 	return nil
 }
 
-func (m *mapApplier) Delete(key []byte) error {
-	if m.fail != nil {
-		return m.fail
-	}
-	delete(m.data, string(key))
-	return nil
+// put and del replicate a single write through the group (a batch of one).
+func put(g *Group, key, value string) error {
+	return g.ApplyBatch(telemetry.TSpan{}, []lsm.Write{{Key: []byte(key), Value: []byte(value)}})
+}
+
+func del(g *Group, key string) error {
+	return g.ApplyBatch(telemetry.TSpan{}, []lsm.Write{{Key: []byte(key), Delete: true}})
 }
 
 func TestPutReachesAllMembers(t *testing.T) {
@@ -42,7 +50,7 @@ func TestPutReachesAllMembers(t *testing.T) {
 	if g.Quorum() != 2 {
 		t.Fatalf("Quorum = %d, want 2", g.Quorum())
 	}
-	if err := g.Put([]byte("k"), []byte("v")); err != nil {
+	if err := put(g, "k", "v"); err != nil {
 		t.Fatal(err)
 	}
 	// The ack fires at quorum; quiesce so the catch-up queues drain before
@@ -59,8 +67,8 @@ func TestDeleteReachesAllMembers(t *testing.T) {
 	p, r1, r2 := newMapApplier(), newMapApplier(), newMapApplier()
 	g := NewGroup(p, r1, r2)
 	defer g.Close()
-	g.Put([]byte("k"), []byte("v"))
-	if err := g.Delete([]byte("k")); err != nil {
+	put(g, "k", "v")
+	if err := del(g, "k"); err != nil {
 		t.Fatal(err)
 	}
 	g.Quiesce()
@@ -76,10 +84,10 @@ func TestMemberFailurePropagates(t *testing.T) {
 	sentinel := errors.New("disk gone")
 	r1.fail = sentinel
 	g := NewGroup(p, r1)
-	if err := g.Put([]byte("k"), []byte("v")); !errors.Is(err, sentinel) {
+	if err := put(g, "k", "v"); !errors.Is(err, sentinel) {
 		t.Fatalf("replica failure not surfaced: %v", err)
 	}
-	if err := g.Delete([]byte("k")); !errors.Is(err, sentinel) {
+	if err := del(g, "k"); !errors.Is(err, sentinel) {
 		t.Fatalf("replica delete failure not surfaced: %v", err)
 	}
 }
@@ -165,7 +173,7 @@ func TestPipelineOrdering(t *testing.T) {
 	p.fail = sentinel
 	g := NewGroup(p, r1)
 	defer g.Close()
-	if err := g.Put([]byte("k"), []byte("v")); !errors.Is(err, sentinel) {
+	if err := put(g, "k", "v"); !errors.Is(err, sentinel) {
 		t.Fatal("primary failure not surfaced")
 	}
 	g.Quiesce()
@@ -194,7 +202,7 @@ func TestGroupWithManyMembers(t *testing.T) {
 		t.Fatalf("Quorum = %d, want 3", g.Quorum())
 	}
 	for i := 0; i < 100; i++ {
-		if err := g.Put([]byte(fmt.Sprintf("k%d", i)), []byte("v")); err != nil {
+		if err := put(g, fmt.Sprintf("k%d", i), "v"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -209,26 +217,17 @@ func TestGroupWithManyMembers(t *testing.T) {
 	}
 }
 
-// batchRecorder implements BatchApplier on top of mapApplier and records
-// how the batch arrived (one round vs per-key fallback).
+// batchRecorder is a mapApplier that counts the rounds batches arrive in.
 type batchRecorder struct {
 	mapApplier
 	batchCalls int
 }
 
-func (b *batchRecorder) ApplyBatch(writes []lsm.Write) error {
-	if b.fail != nil {
-		return b.fail
+func (b *batchRecorder) ApplyBatch(sp telemetry.TSpan, writes []lsm.Write) error {
+	if b.fail == nil {
+		b.batchCalls++
 	}
-	b.batchCalls++
-	for i := range writes {
-		if writes[i].Delete {
-			delete(b.data, string(writes[i].Key))
-		} else {
-			b.data[string(writes[i].Key)] = string(writes[i].Value)
-		}
-	}
-	return nil
+	return b.mapApplier.ApplyBatch(sp, writes)
 }
 
 func testBatch(n int) []lsm.Write {
@@ -247,7 +246,7 @@ func TestApplyBatchReachesAllMembersInOneRound(t *testing.T) {
 	}
 	g := NewGroup(members[0], members[1], members[2])
 	defer g.Close()
-	if err := g.ApplyBatch(testBatch(50)); err != nil {
+	if err := g.ApplyBatch(telemetry.TSpan{}, testBatch(50)); err != nil {
 		t.Fatal(err)
 	}
 	g.Quiesce()
@@ -261,13 +260,13 @@ func TestApplyBatchReachesAllMembersInOneRound(t *testing.T) {
 	}
 }
 
-func TestApplyBatchFallsBackToPerKey(t *testing.T) {
-	// Plain Appliers (no BatchApplier) still receive every write.
+func TestApplyBatchAppliesPutsAndDeletes(t *testing.T) {
+	// Every member receives both the puts and the tombstone of one batch.
 	p, r1 := newMapApplier(), newMapApplier()
 	g := NewGroup(p, r1)
 	batch := testBatch(10)
 	batch = append(batch, lsm.Write{Key: []byte("k003"), Delete: true})
-	if err := g.ApplyBatch(batch); err != nil {
+	if err := g.ApplyBatch(telemetry.TSpan{}, batch); err != nil {
 		t.Fatal(err)
 	}
 	for i, m := range []*mapApplier{p, r1} {
@@ -282,7 +281,7 @@ func TestApplyBatchFallsBackToPerKey(t *testing.T) {
 
 func TestApplyBatchEmptyIsNoOp(t *testing.T) {
 	g := NewGroup(newMapApplier(), newMapApplier())
-	if err := g.ApplyBatch(nil); err != nil {
+	if err := g.ApplyBatch(telemetry.TSpan{}, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -295,7 +294,7 @@ func TestApplyBatchMemberFailureWins(t *testing.T) {
 	r1.fail = sentinel
 	g := NewGroupOptions(Options{Quorum: 3}, p, r1, r2)
 	defer g.Close()
-	if err := g.ApplyBatch(testBatch(5)); !errors.Is(err, sentinel) {
+	if err := g.ApplyBatch(telemetry.TSpan{}, testBatch(5)); !errors.Is(err, sentinel) {
 		t.Fatalf("member failure not surfaced: %v", err)
 	}
 	g.Quiesce()
@@ -313,7 +312,7 @@ func TestApplyBatchQuorumToleratesReplicaFailure(t *testing.T) {
 	r1.fail = sentinel
 	g := NewGroup(p, r1, r2)
 	defer g.Close()
-	if err := g.ApplyBatch(testBatch(5)); err != nil {
+	if err := g.ApplyBatch(telemetry.TSpan{}, testBatch(5)); err != nil {
 		t.Fatalf("quorum write failed despite a healthy majority: %v", err)
 	}
 	g.Quiesce()
@@ -331,7 +330,7 @@ func TestApplyBatchQuorumToleratesReplicaFailure(t *testing.T) {
 func TestApplyBatchSingleMember(t *testing.T) {
 	p := newMapApplier()
 	g := NewGroup(p)
-	if err := g.ApplyBatch(testBatch(7)); err != nil {
+	if err := g.ApplyBatch(telemetry.TSpan{}, testBatch(7)); err != nil {
 		t.Fatal(err)
 	}
 	if len(p.data) != 7 {

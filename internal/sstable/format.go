@@ -34,33 +34,23 @@ var (
 )
 
 const (
-	// magicV1 marks a v1 footer ("IoTSSTb1"): no time bounds, no
-	// compression, 4-byte block trailers. Still readable, never written.
-	magicV1 uint64 = 0x496f545353546231
+	// magic marks the footer ("IoTSSTb2"): per-table min/max timestamps
+	// and a compression kind, and every block carries a 5-byte trailer
+	// (compression type + CRC).
+	magic uint64 = 0x496f545353546232
 
-	// magicV2 marks a v2 footer ("IoTSSTb2"): adds per-table min/max
-	// timestamps and a compression kind, and every block carries a 5-byte
-	// trailer (compression type + CRC).
-	magicV2 uint64 = 0x496f545353546232
-
-	// footerLenV1: index handle (16) + bloom handle (16) + entry count (8) +
-	// magic (8).
-	footerLenV1 = 48
-
-	// footerLenV2 adds min timestamp (8) + max timestamp (8) + compression
-	// kind (1) + flags (1) + reserved (6) before the magic.
-	footerLenV2 = footerLenV1 + 24
+	// footerLen: index handle (16) + bloom handle (16) + entry count (8) +
+	// min timestamp (8) + max timestamp (8) + compression kind (1) + flags
+	// (1) + reserved (6) + magic (8).
+	footerLen = 72
 
 	// restartInterval is the number of entries between restart points in a
 	// data block.
 	restartInterval = 16
 
-	// trailerLenV1: 4-byte CRC32C appended to every block.
-	trailerLenV1 = 4
-
-	// trailerLenV2: 1-byte compression type + 4-byte CRC32C over the stored
+	// trailerLen: 1-byte compression type + 4-byte CRC32C over the stored
 	// payload plus the type byte.
-	trailerLenV2 = 5
+	trailerLen = 5
 )
 
 // Compression selects the per-block encoding of data blocks. Index, filter
@@ -131,11 +121,10 @@ type footer struct {
 	maxTS       int64
 	hasTS       bool
 	compression Compression
-	version     int // 1 or 2
 }
 
 func (f footer) encode() []byte {
-	out := make([]byte, footerLenV2)
+	out := make([]byte, footerLen)
 	f.index.encode(out[0:16])
 	f.bloom.encode(out[16:32])
 	binary.LittleEndian.PutUint64(out[32:40], f.entries)
@@ -145,43 +134,28 @@ func (f footer) encode() []byte {
 	if f.hasTS {
 		out[57] |= flagHasTimeBounds
 	}
-	binary.LittleEndian.PutUint64(out[64:72], magicV2)
+	binary.LittleEndian.PutUint64(out[64:72], magic)
 	return out
 }
 
-// decodeFooter parses the tail bytes of a file: b must be the last
-// footerLenV2 bytes (or the last footerLenV1 bytes of a file too short for
-// a v2 footer). The magic in the final 8 bytes selects the version.
+// decodeFooter parses the last footerLen bytes of a file.
 func decodeFooter(b []byte) (footer, error) {
-	if len(b) < footerLenV1 {
+	if len(b) < footerLen {
 		return footer{}, errShortFooter
 	}
-	switch binary.LittleEndian.Uint64(b[len(b)-8:]) {
-	case magicV2:
-		if len(b) < footerLenV2 {
-			return footer{}, errShortFooter
-		}
-		b = b[len(b)-footerLenV2:]
-		return footer{
-			index:       decodeHandle(b[0:16]),
-			bloom:       decodeHandle(b[16:32]),
-			entries:     binary.LittleEndian.Uint64(b[32:40]),
-			minTS:       int64(binary.LittleEndian.Uint64(b[40:48])),
-			maxTS:       int64(binary.LittleEndian.Uint64(b[48:56])),
-			compression: Compression(b[56]),
-			hasTS:       b[57]&flagHasTimeBounds != 0,
-			version:     2,
-		}, nil
-	case magicV1:
-		b = b[len(b)-footerLenV1:]
-		return footer{
-			index:   decodeHandle(b[0:16]),
-			bloom:   decodeHandle(b[16:32]),
-			entries: binary.LittleEndian.Uint64(b[32:40]),
-			version: 1,
-		}, nil
+	b = b[len(b)-footerLen:]
+	if binary.LittleEndian.Uint64(b[64:72]) != magic {
+		return footer{}, errBadMagic
 	}
-	return footer{}, errBadMagic
+	return footer{
+		index:       decodeHandle(b[0:16]),
+		bloom:       decodeHandle(b[16:32]),
+		entries:     binary.LittleEndian.Uint64(b[32:40]),
+		minTS:       int64(binary.LittleEndian.Uint64(b[40:48])),
+		maxTS:       int64(binary.LittleEndian.Uint64(b[48:56])),
+		compression: Compression(b[56]),
+		hasTS:       b[57]&flagHasTimeBounds != 0,
+	}, nil
 }
 
 func checksum(block []byte) uint32 {

@@ -3,6 +3,7 @@ package sstable
 import (
 	"bytes"
 	"compress/flate"
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -26,10 +27,9 @@ type Reader struct {
 	first   []byte // smallest key
 	last    []byte // largest key
 
-	version      int         // footer version: 1 (legacy) or 2
 	compression  Compression // data-block encoding declared by the footer
-	minTS, maxTS int64       // time bounds from the v2 footer
-	hasTS        bool        // false for v1 tables and timestamp-less keys
+	minTS, maxTS int64       // time bounds from the footer
+	hasTS        bool        // false for timestamp-less keys
 
 	// cache holds parsed data blocks, bounded LRU-style. Private per
 	// reader unless a shared cache is supplied at open.
@@ -70,18 +70,11 @@ func OpenWithCache(path string, cache *BlockCache) (*Reader, error) {
 }
 
 func (r *Reader) loadFooter() error {
-	if r.size < footerLenV1 {
+	if r.size < footerLen {
 		return corruptf("file of %d bytes has no footer", r.size)
 	}
-	// Read the largest possible footer; decodeFooter finds the version from
-	// the magic in the final 8 bytes. Files shorter than a v2 footer can
-	// only be v1.
-	n := int64(footerLenV2)
-	if r.size < n {
-		n = footerLenV1
-	}
-	buf := make([]byte, n)
-	if _, err := r.f.ReadAt(buf, r.size-n); err != nil {
+	buf := make([]byte, footerLen)
+	if _, err := r.f.ReadAt(buf, r.size-footerLen); err != nil {
 		return fmt.Errorf("sstable: read footer: %w", err)
 	}
 	ft, err := decodeFooter(buf)
@@ -89,7 +82,6 @@ func (r *Reader) loadFooter() error {
 		return fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	r.entries = ft.entries
-	r.version = ft.version
 	r.compression = ft.compression
 	r.minTS, r.maxTS, r.hasTS = ft.minTS, ft.maxTS, ft.hasTS
 
@@ -136,38 +128,25 @@ func (r *Reader) loadBounds() error {
 	return it.Error()
 }
 
-// readBlockRaw reads, checksum-verifies and (for v2 tables) decompresses a
-// block. The handle's length is the stored (possibly compressed) payload
-// size; disk-read accounting records the stored bytes actually fetched.
+// readBlockRaw reads, checksum-verifies and decompresses a block. The
+// handle's length is the stored (possibly compressed) payload size;
+// disk-read accounting records the stored bytes actually fetched.
 func (r *Reader) readBlockRaw(h handle) ([]byte, error) {
-	trailer := uint64(trailerLenV2)
-	if r.version == 1 {
-		trailer = trailerLenV1
-	}
-	if h.offset+h.length+trailer > uint64(r.size) {
+	if h.offset+h.length+trailerLen > uint64(r.size) {
 		return nil, corruptf("block handle %d+%d beyond file size %d", h.offset, h.length, r.size)
 	}
-	buf := make([]byte, h.length+trailer)
+	buf := make([]byte, h.length+trailerLen)
 	if _, err := r.f.ReadAt(buf, int64(h.offset)); err != nil {
 		return nil, fmt.Errorf("sstable: read block: %w", err)
 	}
 	if r.cache != nil {
 		r.cache.recordDiskRead(int64(len(buf)))
 	}
+	// Trailer: [type][crc32(payload+type)].
 	body := buf[:h.length]
-	ctype := NoCompression
-	crcOff := h.length
-	if r.version != 1 {
-		// v2 trailer: [type][crc32(payload+type)].
-		ctype = Compression(buf[h.length])
-		crcOff = h.length + 1
-	}
-	want := uint32(buf[crcOff]) | uint32(buf[crcOff+1])<<8 |
-		uint32(buf[crcOff+2])<<16 | uint32(buf[crcOff+3])<<24
-	got := checksum(body)
-	if r.version != 1 {
-		got = crc32.Update(got, crcTable, buf[h.length:h.length+1])
-	}
+	ctype := Compression(buf[h.length])
+	want := binary.LittleEndian.Uint32(buf[h.length+1:])
+	got := crc32.Update(checksum(body), crcTable, buf[h.length:h.length+1])
 	if got != want {
 		return nil, corruptf("checksum mismatch for block at %d", h.offset)
 	}
@@ -221,8 +200,8 @@ func (r *Reader) FilterPresent() bool { return r.filter != nil }
 func (r *Reader) Bounds() (first, last []byte) { return r.first, r.last }
 
 // TimeBounds returns the table's min/max key timestamps from the footer.
-// ok is false for legacy v1 tables and tables whose keys carried no
-// extractable timestamp; such tables can never be pruned by time.
+// ok is false for tables whose keys carried no extractable timestamp; such
+// tables can never be pruned by time.
 func (r *Reader) TimeBounds() (min, max int64, ok bool) {
 	return r.minTS, r.maxTS, r.hasTS
 }

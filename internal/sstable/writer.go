@@ -126,7 +126,7 @@ func (w *Writer) flushDataBlock() error {
 	return nil
 }
 
-// writeBlock emits a block plus its v2 trailer (compression type + CRC over
+// writeBlock emits a block plus its trailer (compression type + CRC over
 // payload and type) and returns its handle. Only data blocks are
 // compressible; a block that does not shrink stays raw.
 func (w *Writer) writeBlock(raw []byte, compressible bool) (handle, error) {
@@ -143,13 +143,13 @@ func (w *Writer) writeBlock(raw []byte, compressible bool) (handle, error) {
 	if _, err := w.w.Write(stored); err != nil {
 		return handle{}, fmt.Errorf("sstable: write block: %w", err)
 	}
-	var tr [trailerLenV2]byte
+	var tr [trailerLen]byte
 	tr[0] = byte(ctype)
 	putU32(tr[1:], crc32.Update(checksum(stored), crcTable, tr[:1]))
 	if _, err := w.w.Write(tr[:]); err != nil {
 		return handle{}, fmt.Errorf("sstable: write trailer: %w", err)
 	}
-	w.offset += uint64(len(stored)) + trailerLenV2
+	w.offset += uint64(len(stored)) + trailerLen
 	return h, nil
 }
 

@@ -225,15 +225,10 @@ func (l *Log) openSegmentLocked(seq uint64) error {
 // durable after a successful return (under SyncOnAppend) or, after a crash,
 // replay stops at the first incomplete record. Returns ErrLogFull when the
 // segment cap is reached. Concurrent appenders under SyncOnAppend share
-// fsyncs via group commit.
-func (l *Log) Append(records ...[]byte) error {
-	return l.AppendTraced(telemetry.TSpan{}, records...)
-}
-
-// AppendTraced is Append under a trace span: when parent is live, the fsync
-// performed by a group-commit leader appears as a "wal.fsync" child span (a
-// follower whose durability another writer's fsync covered records none).
-func (l *Log) AppendTraced(parent telemetry.TSpan, records ...[]byte) error {
+// fsyncs via group commit. When parent is live, the fsync performed by a
+// group-commit leader appears as a "wal.fsync" child span (a follower whose
+// durability another writer's fsync covered records none).
+func (l *Log) Append(parent telemetry.TSpan, records ...[]byte) error {
 	sp := l.appendSpan.Start()
 	err := l.append(records, parent)
 	sp.End()

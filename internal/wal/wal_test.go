@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"tpcxiot/internal/telemetry"
 )
 
 func openTest(t *testing.T, opts Options) *Log {
@@ -42,7 +44,7 @@ func TestAppendReplay(t *testing.T) {
 	l := openTest(t, Options{Dir: dir})
 	want := [][]byte{[]byte("one"), []byte("two"), []byte("three")}
 	for _, r := range want {
-		if err := l.Append(r); err != nil {
+		if err := l.Append(telemetry.TSpan{}, r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -63,7 +65,7 @@ func TestAppendReplay(t *testing.T) {
 func TestAppendGroup(t *testing.T) {
 	dir := t.TempDir()
 	l := openTest(t, Options{Dir: dir})
-	if err := l.Append([]byte("a"), []byte("b"), []byte("c")); err != nil {
+	if err := l.Append(telemetry.TSpan{}, []byte("a"), []byte("b"), []byte("c")); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
@@ -75,7 +77,7 @@ func TestAppendGroup(t *testing.T) {
 func TestEmptyRecord(t *testing.T) {
 	dir := t.TempDir()
 	l := openTest(t, Options{Dir: dir})
-	if err := l.Append([]byte{}); err != nil {
+	if err := l.Append(telemetry.TSpan{}, []byte{}); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
@@ -90,7 +92,7 @@ func TestRotation(t *testing.T) {
 	l := openTest(t, Options{Dir: dir, SegmentSize: 1024})
 	rec := make([]byte, 300)
 	for i := 0; i < 10; i++ {
-		if err := l.Append(rec); err != nil {
+		if err := l.Append(telemetry.TSpan{}, rec); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -109,7 +111,7 @@ func TestMaxSegmentsBackpressure(t *testing.T) {
 	rec := make([]byte, 600)
 	var full bool
 	for i := 0; i < 20; i++ {
-		if err := l.Append(rec); err != nil {
+		if err := l.Append(telemetry.TSpan{}, rec); err != nil {
 			if errors.Is(err, ErrLogFull) {
 				full = true
 				break
@@ -124,7 +126,7 @@ func TestMaxSegmentsBackpressure(t *testing.T) {
 	if err := l.Truncate(l.ActiveSegment()); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append(rec); err != nil {
+	if err := l.Append(telemetry.TSpan{}, rec); err != nil {
 		t.Fatalf("append after truncate: %v", err)
 	}
 	l.Close()
@@ -135,7 +137,7 @@ func TestTruncateRemovesFiles(t *testing.T) {
 	l := openTest(t, Options{Dir: dir, SegmentSize: 1024})
 	rec := make([]byte, 500)
 	for i := 0; i < 8; i++ {
-		if err := l.Append(rec); err != nil {
+		if err := l.Append(telemetry.TSpan{}, rec); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -157,11 +159,11 @@ func TestTruncateRemovesFiles(t *testing.T) {
 func TestReopenContinues(t *testing.T) {
 	dir := t.TempDir()
 	l := openTest(t, Options{Dir: dir})
-	l.Append([]byte("first"))
+	l.Append(telemetry.TSpan{}, []byte("first"))
 	l.Close()
 
 	l2 := openTest(t, Options{Dir: dir})
-	l2.Append([]byte("second"))
+	l2.Append(telemetry.TSpan{}, []byte("second"))
 	l2.Close()
 
 	got := replayAll(t, dir)
@@ -173,8 +175,8 @@ func TestReopenContinues(t *testing.T) {
 func TestTornTailTolerated(t *testing.T) {
 	dir := t.TempDir()
 	l := openTest(t, Options{Dir: dir})
-	l.Append([]byte("intact"))
-	l.Append([]byte("to-be-torn"))
+	l.Append(telemetry.TSpan{}, []byte("intact"))
+	l.Append(telemetry.TSpan{}, []byte("to-be-torn"))
 	l.Close()
 
 	// Chop the final record mid-body to simulate a torn write.
@@ -198,7 +200,7 @@ func TestMidSegmentCorruptionDetected(t *testing.T) {
 	l := openTest(t, Options{Dir: dir, SegmentSize: 1024})
 	rec := make([]byte, 400)
 	for i := 0; i < 6; i++ { // spans multiple segments
-		l.Append(rec)
+		l.Append(telemetry.TSpan{}, rec)
 	}
 	l.Close()
 
@@ -222,8 +224,8 @@ func TestMidSegmentCorruptionDetected(t *testing.T) {
 func TestCorruptTailOfLastSegmentTolerated(t *testing.T) {
 	dir := t.TempDir()
 	l := openTest(t, Options{Dir: dir})
-	l.Append([]byte("good"))
-	l.Append([]byte("bad-tail"))
+	l.Append(telemetry.TSpan{}, []byte("good"))
+	l.Append(telemetry.TSpan{}, []byte("bad-tail"))
 	l.Close()
 
 	seg := filepath.Join(dir, segmentName(1))
@@ -243,7 +245,7 @@ func TestCorruptTailOfLastSegmentTolerated(t *testing.T) {
 func TestReplayCallbackError(t *testing.T) {
 	dir := t.TempDir()
 	l := openTest(t, Options{Dir: dir})
-	l.Append([]byte("x"))
+	l.Append(telemetry.TSpan{}, []byte("x"))
 	l.Close()
 	sentinel := errors.New("stop")
 	if err := Replay(dir, func([]byte) error { return sentinel }); !errors.Is(err, sentinel) {
@@ -260,7 +262,7 @@ func TestReplayMissingDir(t *testing.T) {
 func TestClosedLogRejectsOps(t *testing.T) {
 	l := openTest(t, Options{})
 	l.Close()
-	if err := l.Append([]byte("x")); !errors.Is(err, ErrClosed) {
+	if err := l.Append(telemetry.TSpan{}, []byte("x")); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Append after close: %v", err)
 	}
 	if err := l.Sync(); !errors.Is(err, ErrClosed) {
@@ -274,7 +276,7 @@ func TestClosedLogRejectsOps(t *testing.T) {
 func TestOversizeRecordRejected(t *testing.T) {
 	l := openTest(t, Options{})
 	defer l.Close()
-	if err := l.Append(make([]byte, MaxRecordSize+1)); !errors.Is(err, ErrTooLarge) {
+	if err := l.Append(telemetry.TSpan{}, make([]byte, MaxRecordSize+1)); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("oversize append: %v", err)
 	}
 }
@@ -302,7 +304,7 @@ func TestConcurrentAppends(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				if err := l.Append([]byte(fmt.Sprintf("w%d-%d", w, i))); err != nil {
+				if err := l.Append(telemetry.TSpan{}, []byte(fmt.Sprintf("w%d-%d", w, i))); err != nil {
 					t.Errorf("append: %v", err)
 					return
 				}
@@ -322,7 +324,7 @@ func TestSyncOnAppendDurable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append([]byte("durable")); err != nil {
+	if err := l.Append(telemetry.TSpan{}, []byte("durable")); err != nil {
 		t.Fatal(err)
 	}
 	// Without closing, the record must already be on disk (flushed through
@@ -345,7 +347,7 @@ func BenchmarkAppend1KiB(b *testing.B) {
 	b.SetBytes(1024)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := l.Append(rec); err != nil {
+		if err := l.Append(telemetry.TSpan{}, rec); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -369,7 +371,7 @@ func TestGroupCommitSharesSyncs(t *testing.T) {
 	done := make(chan error, followers)
 	for i := 0; i < followers; i++ {
 		go func(i int) {
-			done <- l.Append([]byte(fmt.Sprintf("follower-%d", i)))
+			done <- l.Append(telemetry.TSpan{}, []byte(fmt.Sprintf("follower-%d", i)))
 		}(i)
 	}
 	// Wait until every follower has written its record and is blocked on
@@ -422,7 +424,7 @@ func TestGroupCommitSingleWriterSyncsEachAppend(t *testing.T) {
 	}
 	defer l.Close()
 	for i := 0; i < 20; i++ {
-		if err := l.Append([]byte("solo")); err != nil {
+		if err := l.Append(telemetry.TSpan{}, []byte("solo")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -448,7 +450,7 @@ func TestGroupCommitAcrossRotation(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 30; i++ {
-				if err := l.Append(rec); err != nil {
+				if err := l.Append(telemetry.TSpan{}, rec); err != nil {
 					t.Errorf("append: %v", err)
 					return
 				}
@@ -486,7 +488,7 @@ func BenchmarkGroupCommit(b *testing.B) {
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
 				for pb.Next() {
-					if err := l.Append(rec); err != nil {
+					if err := l.Append(telemetry.TSpan{}, rec); err != nil {
 						b.Fatal(err)
 					}
 				}
