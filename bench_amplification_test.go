@@ -31,8 +31,8 @@ import (
 //	rows/s         end-to-end ingest rate
 //	write_amp      (WAL + flush + compaction rewrite bytes) / logical bytes,
 //	               summed over every replica — the headline ledger ratio
-//	cache_hit_pct  block-cache hit rate over the whole run (compaction
-//	               merges and the closing read sweep)
+//	cache_hit_pct  block-cache hit rate of the closing read sweep's point
+//	               gets (compaction reads bypass the cache)
 //	bloom_fp_pct   Bloom false positives per filter consultation in the
 //	               closing read sweep (present + absent keys)
 //	debt_mb        compaction debt left at the end — bytes a full

@@ -273,10 +273,10 @@ func main() {
 				log.Printf("audit: iteration %d verdict INVALID: %s", it+1, v.Check().Detail)
 			}
 		},
-		Telemetry:          reg,
-		TelemetryInterval:  *telemetryInt,
-		HealthInterval:     *healthInt,
-		Tracer:             tracer,
+		Telemetry:         reg,
+		TelemetryInterval: *telemetryInt,
+		HealthInterval:    *healthInt,
+		Tracer:            tracer,
 		OnTicker: func(t *telemetry.Ticker) {
 			tickerMu.Lock()
 			liveTicker = t

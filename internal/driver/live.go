@@ -2,8 +2,10 @@ package driver
 
 import (
 	"fmt"
+	"math"
 
 	"tpcxiot/internal/hbase"
+	"tpcxiot/internal/lsm"
 	"tpcxiot/internal/workload"
 	"tpcxiot/internal/ycsb"
 )
@@ -75,20 +77,22 @@ func (s *ClusterSUT) Cleanup() error {
 	return err
 }
 
-// CountRows implements RowCounter: it scans the benchmark table and counts
-// stored readings. Intended for laptop-scale verification runs; at paper
-// scale the scan itself would dwarf the benchmark.
+// CountRows implements RowCounter: it counts the stored readings through
+// the count-only aggregate RPC, so each region folds its rows to a count
+// where they live and no row crosses the region-server boundary. It counts
+// every live key with the kvp key shape and a timestamp >= 0, which is
+// every key the kit writes.
 func (s *ClusterSUT) CountRows() (int64, error) {
 	client, err := s.cluster.NewClient(s.table, 0)
 	if err != nil {
 		return 0, err
 	}
 	defer client.Close()
-	rows, err := client.Scan(nil, nil, 0)
+	res, err := client.Aggregate(nil, nil, 0, math.MaxInt64, 0, lsm.AggCount)
 	if err != nil {
 		return 0, err
 	}
-	return int64(len(rows)), nil
+	return res.RowsFolded, nil
 }
 
 // Describe implements SUT.

@@ -14,22 +14,45 @@ import (
 	"tpcxiot/internal/wal"
 )
 
-// gatedStallApplier blocks a member's batch applies while the gate is up,
-// modelling a transient stall (GC pause, disk hiccup) on that member. Applies
-// entering during the stall wait for the gate to drop, then proceed.
-type gatedStallApplier struct {
-	inner replication.Applier
-	gate  *atomic.Bool
+// stallTrigger raises a stall gate for a fixed duration, once, from the
+// first batch apply at or after its armed deadline. Driving the stall from
+// the write path guarantees it opens while client flushes are in flight.
+type stallTrigger struct {
+	gate     atomic.Bool
+	deadline atomic.Int64 // unix ns; 0 = not armed
+	fired    atomic.Bool
+	duration time.Duration
 }
 
-func (g *gatedStallApplier) waitGate() {
-	for g.gate.Load() {
-		time.Sleep(2 * time.Millisecond)
+// arm schedules the stall for the first apply after delay from now.
+func (s *stallTrigger) arm(delay time.Duration) {
+	s.deadline.Store(time.Now().Add(delay).UnixNano())
+}
+
+// maybeFire raises the gate if the trigger is armed, due and unfired.
+func (s *stallTrigger) maybeFire() {
+	d := s.deadline.Load()
+	if d == 0 || time.Now().UnixNano() < d || !s.fired.CompareAndSwap(false, true) {
+		return
 	}
+	s.gate.Store(true)
+	time.AfterFunc(s.duration, func() { s.gate.Store(false) })
+}
+
+// gatedStallApplier blocks a member's batch applies while the trigger's
+// gate is up, modelling a transient stall (GC pause, disk hiccup) on that
+// member. Applies entering during the stall wait for the gate to drop, then
+// proceed.
+type gatedStallApplier struct {
+	inner   replication.Applier
+	trigger *stallTrigger
 }
 
 func (g *gatedStallApplier) ApplyBatch(sp telemetry.TSpan, writes []lsm.Write) error {
-	g.waitGate()
+	g.trigger.maybeFire()
+	for g.trigger.gate.Load() {
+		time.Sleep(2 * time.Millisecond)
+	}
 	return g.inner.ApplyBatch(sp, writes)
 }
 
@@ -69,7 +92,7 @@ func TestPacedStallDivergenceAndAudit(t *testing.T) {
 		t.Skip("live paced run")
 	}
 	reg := telemetry.NewRegistry()
-	var stall atomic.Bool
+	stall := &stallTrigger{duration: 800 * time.Millisecond}
 	cluster, err := hbase.NewCluster(hbase.Config{
 		Nodes:   3,
 		DataDir: t.TempDir(),
@@ -94,7 +117,7 @@ func TestPacedStallDivergenceAndAudit(t *testing.T) {
 			if idx != 0 {
 				return app
 			}
-			return &gatedStallApplier{inner: app, gate: &stall}
+			return &gatedStallApplier{inner: app, trigger: stall}
 		},
 	})
 	if err != nil {
@@ -107,18 +130,12 @@ func TestPacedStallDivergenceAndAudit(t *testing.T) {
 	}
 
 	// The stall is armed against the measured run (the second execution):
-	// 1.2 s in, the primary freezes for 800 ms.
+	// the primary's first batch apply 1.2 s in freezes it for 800 ms.
 	var executions atomic.Int32
 	cfg := pacedRunConfig(sut, reg, func(*telemetry.Ticker) {
-		if executions.Add(1) != 2 {
-			return
+		if executions.Add(1) == 2 {
+			stall.arm(1200 * time.Millisecond)
 		}
-		go func() {
-			time.Sleep(1200 * time.Millisecond)
-			stall.Store(true)
-			time.Sleep(800 * time.Millisecond)
-			stall.Store(false)
-		}()
 	})
 	res, err := Run(cfg)
 	if err != nil {

@@ -175,7 +175,11 @@ func TestStorageEndpointsUnderLoad(t *testing.T) {
 	wg.Wait()
 
 	// After the dust settles the cluster must be healthy and the ledger
-	// must reflect both writers on every replica.
+	// must reflect both writers on every replica. Quorum acks do not wait
+	// for the third replica, so drain its catch-up queue first.
+	if err := cl.Quiesce(); err != nil {
+		t.Fatal(err)
+	}
 	if rep := cl.Health(); !rep.OK {
 		t.Errorf("post-load health: %+v", rep)
 	}

@@ -202,3 +202,65 @@ func TestHealthDocument(t *testing.T) {
 		t.Errorf("closed store reported healthy: %+v", h)
 	}
 }
+
+// TestCompactionReadsChargedToCompaction checks the read ledger's rule:
+// compaction input reads count in CompactReadBytes only, never in the
+// query-side DiskReadBytes or the block-cache counters, while a scan that
+// covers whole tables streams past the cache and is charged to
+// DiskReadBytes.
+func TestCompactionReadsChargedToCompaction(t *testing.T) {
+	s := openTest(t, Options{DisableAutoFlush: true})
+	value := bytes.Repeat([]byte("v"), 512)
+	for round := 0; round < 3; round++ {
+		for i := 0; i < 200; i++ {
+			if err := s.Put([]byte(fmt.Sprintf("k%04d", i*3+round)), value); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	st0 := s.Stats()
+	if st0.Tables != 3 {
+		t.Fatalf("tables = %d, want 3", st0.Tables)
+	}
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	st1 := s.Stats()
+	if st1.DiskReadBytes != st0.DiskReadBytes || st1.CacheHits != st0.CacheHits || st1.CacheMisses != st0.CacheMisses {
+		t.Fatalf("compaction moved query read counters: disk %d->%d, hits %d->%d, misses %d->%d",
+			st0.DiskReadBytes, st1.DiskReadBytes, st0.CacheHits, st1.CacheHits, st0.CacheMisses, st1.CacheMisses)
+	}
+	if got := st1.CompactReadBytes - st0.CompactReadBytes; got != st0.TableBytes {
+		t.Fatalf("compact read bytes grew by %d, inputs total %d", got, st0.TableBytes)
+	}
+
+	// A full scan reads the one table end to end: sequentially, past the
+	// cache, and charged to the query ledger.
+	rows := 0
+	if err := s.Scan(nil, nil, func(k, v []byte) error { rows++; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	st2 := s.Stats()
+	if rows != 600 {
+		t.Fatalf("scan returned %d rows, want 600", rows)
+	}
+	if st2.CacheHits != st1.CacheHits || st2.CacheMisses != st1.CacheMisses {
+		t.Fatalf("full scan touched the block cache: hits %d->%d, misses %d->%d",
+			st1.CacheHits, st2.CacheHits, st1.CacheMisses, st2.CacheMisses)
+	}
+	if read := st2.DiskReadBytes - st1.DiskReadBytes; read <= 0 || read >= st2.TableBytes {
+		t.Fatalf("full scan charged %d disk bytes for a %d-byte table", read, st2.TableBytes)
+	}
+
+	// A range inside the table takes the cached path.
+	if err := s.Scan([]byte("k0100"), []byte("k0110"), func(k, v []byte) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if st3 := s.Stats(); st3.CacheMisses == st2.CacheMisses {
+		t.Fatal("partial-range scan did not go through the block cache")
+	}
+}

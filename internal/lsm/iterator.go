@@ -2,6 +2,8 @@ package lsm
 
 import (
 	"bytes"
+
+	"tpcxiot/internal/sstable"
 )
 
 // Iter is a long-lived streaming iterator over a pinned snapshot of the
@@ -23,6 +25,7 @@ import (
 type Iter struct {
 	store  *Store
 	held   []*tableHandle
+	seq    []*sstable.Iterator // sequential sources, for the disk-read ledger
 	merged *mergeIterator
 	hi     []byte // exclusive upper bound; nil = end of keyspace
 	closed bool
@@ -46,7 +49,9 @@ type Iter struct {
 // release the pinned table files.
 //
 // Tables whose footer key bounds cannot intersect [lo, hi) are pruned from
-// the snapshot — never pinned, never read.
+// the snapshot — never pinned, never read. A table the range covers
+// entirely is read end to end, so it streams through a sequential
+// iterator that bypasses the block cache; the rest use the cached path.
 func (s *Store) NewIterator(lo, hi []byte) (*Iter, error) {
 	return s.newIter(lo, hi, 0, 0, false)
 }
@@ -82,6 +87,7 @@ func (s *Store) newIter(lo, hi []byte, tsLo, tsHi int64, tsFilter bool) (*Iter, 
 		sources = append(sources, memIter{iit})
 	}
 	held := make([]*tableHandle, 0, len(s.tables))
+	var seq []*sstable.Iterator
 	var keyPruned, timePruned int64
 	for _, t := range s.tables {
 		// Key-range pruning against the footer bounds. lo > last rules the
@@ -100,7 +106,13 @@ func (s *Store) newIter(lo, hi []byte, tsLo, tsHi int64, tsFilter bool) (*Iter, 
 		}
 		t.acquire()
 		held = append(held, t)
-		it := t.reader.NewIterator()
+		var it *sstable.Iterator
+		if t.within(lo, hi, tsLo, tsHi, tsFilter) {
+			it = t.reader.NewSeqIterator()
+			seq = append(seq, it)
+		} else {
+			it = t.reader.NewIterator()
+		}
 		it.Seek(lo)
 		sources = append(sources, it)
 	}
@@ -116,12 +128,22 @@ func (s *Store) newIter(lo, hi []byte, tsLo, tsHi int64, tsFilter bool) (*Iter, 
 	}
 
 	it := &Iter{
-		store: s, held: held, merged: newMergeIterator(sources), hi: hi,
+		store: s, held: held, seq: seq, merged: newMergeIterator(sources), hi: hi,
 		tsLo: tsLo, tsHi: tsHi, tsFilter: tsFilter,
 	}
 	it.skipDead()
 	it.account()
 	return it, nil
+}
+
+// within reports whether the table lies wholly inside the read: its key
+// range inside [lo, hi) and, for a time-filtered read, its time bounds
+// inside [tsLo, tsHi). Such a table is read end to end.
+func (t *tableHandle) within(lo, hi []byte, tsLo, tsHi int64, tsFilter bool) bool {
+	if bytes.Compare(t.firstKey, lo) < 0 || (hi != nil && bytes.Compare(t.lastKey, hi) >= 0) {
+		return false
+	}
+	return !tsFilter || (t.hasTS && t.minTS >= tsLo && t.maxTS < tsHi)
 }
 
 // account charges the entry the iterator currently rests on to the local
@@ -189,6 +211,12 @@ func (it *Iter) Close() error {
 		it.store.met.logicalReadC.Add(it.bytesRead)
 		it.bytesRead = 0
 	}
+	var diskRead int64
+	for _, si := range it.seq {
+		diskRead += si.DiskReadBytes()
+	}
+	it.store.seqReadBytes.Add(diskRead)
+	it.seq = nil
 	for _, t := range it.held {
 		t.release()
 	}

@@ -212,13 +212,17 @@ type Store struct {
 	// bytes are user keys+values accepted into the store; WAL bytes are what
 	// those writes cost in log framing; flush and compaction bytes are the
 	// physical SSTable traffic; logical read bytes are user bytes returned
-	// by gets and iterators (disk read bytes live on the block cache).
+	// by gets and iterators. Query disk reads are the block cache's misses
+	// plus seqReadBytes, the bytes sequential table iterators of queries
+	// fetched (compaction's sequential reads count in compactReadBytes
+	// only).
 	logicalBytes      atomic.Int64
 	walBytes          atomic.Int64
 	flushBytes        atomic.Int64
 	compactReadBytes  atomic.Int64
 	compactWriteBytes atomic.Int64
 	logicalReadBytes  atomic.Int64
+	seqReadBytes      atomic.Int64
 
 	// Bloom-filter effectiveness on the table read path: skips are definite
 	// negatives (a table ruled out without a block read), hits are positive
@@ -353,18 +357,20 @@ type Stats struct {
 	// Write-side amplification ledger. LogicalBytes is the user payload
 	// accepted (keys + live values); WALBytes, FlushBytes and
 	// CompactWriteBytes are the physical writes that payload cost; their sum
-	// over LogicalBytes is the write amplification. CompactReadBytes is what
-	// compactions re-read and measures churn (it appears in read traffic, not
-	// write amplification).
+	// over LogicalBytes is the write amplification. CompactReadBytes is the
+	// size of the tables compactions re-read and measures churn; it is the
+	// only place compaction reads are charged.
 	LogicalBytes      int64 `json:"logical_bytes"`
 	WALBytes          int64 `json:"wal_bytes"`
 	FlushBytes        int64 `json:"flush_bytes"`
 	CompactReadBytes  int64 `json:"compact_read_bytes"`
 	CompactWriteBytes int64 `json:"compact_write_bytes"`
 
-	// Read-side ledger: user bytes returned by gets and scans, versus raw
-	// bytes the table readers pulled from disk (block-cache misses plus
-	// metadata loads). Their ratio is the read amplification.
+	// Read-side ledger for queries: user bytes returned by gets and scans,
+	// versus stored bytes their table reads pulled from disk (block-cache
+	// misses plus the windows of sequential scan iterators). Compaction
+	// input reads and the index and filter loads at table open are not
+	// counted. Their ratio is the read amplification.
 	LogicalReadBytes int64 `json:"logical_read_bytes"`
 	DiskReadBytes    int64 `json:"disk_read_bytes"`
 
@@ -386,7 +392,9 @@ type Stats struct {
 	PruneKeySkips  int64 `json:"prune_key_skips"`
 	PruneTimeSkips int64 `json:"prune_time_skips"`
 
-	// Block-cache effectiveness (shared across the store's tables).
+	// Block-cache effectiveness (shared across the store's tables) on the
+	// cached query path; sequential reads bypass the cache and count in
+	// neither hits nor misses.
 	CacheHits      int64 `json:"cache_hits"`
 	CacheMisses    int64 `json:"cache_misses"`
 	CacheEvictions int64 `json:"cache_evictions"`
@@ -466,18 +474,18 @@ func Open(opts Options) (*Store, error) {
 	s.seedCount = 1
 	s.encPool.New = func() any { return new(encodeBuf) }
 	s.met = storeMetrics{
-		flushes:       o.Registry.Counter("lsm.flushes"),
-		compactions:   o.Registry.Counter("lsm.compactions"),
-		stalls:        o.Registry.Counter("lsm.stalls"),
-		truncErrs:     o.Registry.Counter("wal.truncate_errors"),
-		batchApplies:  o.Registry.Counter("lsm.batch_applies"),
-		memSpan:       o.Registry.Timer("put.memstore"),
-		flushSpan:     o.Registry.Timer("put.region_flush"),
-		logicalBytesC: o.Registry.Counter("lsm.logical_bytes"),
-		logicalReadC:  o.Registry.Counter("lsm.logical_read_bytes"),
-		flushBytesC:   o.Registry.Counter("lsm.flush_bytes"),
-		compactReadC:  o.Registry.Counter("lsm.compact_read_bytes"),
-		compactWriteC: o.Registry.Counter("lsm.compact_write_bytes"),
+		flushes:         o.Registry.Counter("lsm.flushes"),
+		compactions:     o.Registry.Counter("lsm.compactions"),
+		stalls:          o.Registry.Counter("lsm.stalls"),
+		truncErrs:       o.Registry.Counter("wal.truncate_errors"),
+		batchApplies:    o.Registry.Counter("lsm.batch_applies"),
+		memSpan:         o.Registry.Timer("put.memstore"),
+		flushSpan:       o.Registry.Timer("put.region_flush"),
+		logicalBytesC:   o.Registry.Counter("lsm.logical_bytes"),
+		logicalReadC:    o.Registry.Counter("lsm.logical_read_bytes"),
+		flushBytesC:     o.Registry.Counter("lsm.flush_bytes"),
+		compactReadC:    o.Registry.Counter("lsm.compact_read_bytes"),
+		compactWriteC:   o.Registry.Counter("lsm.compact_write_bytes"),
 		bloomHitsC:      o.Registry.Counter("lsm.bloom_hits"),
 		bloomSkipsC:     o.Registry.Counter("lsm.bloom_skips"),
 		bloomFPC:        o.Registry.Counter("lsm.bloom_false_positives"),
@@ -494,7 +502,7 @@ func Open(opts Options) (*Store, error) {
 	o.Registry.Gauge("lsm.hot_window_tables", s.hotWindowTablesGauge)
 	o.Registry.Gauge("lsm.cache_hits", func() int64 { return s.cache.Stats().Hits })
 	o.Registry.Gauge("lsm.cache_misses", func() int64 { return s.cache.Stats().Misses })
-	o.Registry.Gauge("lsm.disk_read_bytes", func() int64 { return s.cache.Stats().DiskReadBytes })
+	o.Registry.Gauge("lsm.disk_read_bytes", s.diskReadBytes)
 	RegisterDerivedGauges(o.Registry)
 	if len(o.Tags) > 0 {
 		s.met.flushesTagged = o.Registry.CounterTagged("lsm.flushes", o.Tags...)
@@ -1114,10 +1122,11 @@ func (s *Store) compactPick(pick *compactionPick) error {
 	}
 
 	// Inputs are a contiguous span of the newest-first table list, in order,
-	// so the merge's "earlier source wins" rule preserves shadowing.
+	// so the merge's "earlier source wins" rule preserves shadowing. Each is
+	// read end to end through a sequential iterator, past the block cache.
 	iters := make([]iterator, len(old))
 	for i, t := range old {
-		it := t.reader.NewIterator()
+		it := t.reader.NewSeqIterator()
 		it.SeekToFirst()
 		iters[i] = it
 	}
@@ -1144,7 +1153,8 @@ func (s *Store) compactPick(pick *compactionPick) error {
 		return err
 	}
 	// The merge read every input in full; account those bytes whether or not
-	// anything survives (an all-tombstone merge still did the I/O).
+	// anything survives (an all-tombstone merge still did the I/O). This is
+	// the only ledger entry for compaction reads.
 	var readBytes int64
 	for _, t := range old {
 		readBytes += t.size
@@ -1382,6 +1392,12 @@ func (s *Store) ScanTime(lo, hi []byte, minTS, maxTS int64, fn func(key, value [
 	return it.Error()
 }
 
+// diskReadBytes is the query read path's disk traffic: block-cache misses
+// plus the windows sequential query iterators fetched.
+func (s *Store) diskReadBytes() int64 {
+	return s.cache.Stats().DiskReadBytes + s.seqReadBytes.Load()
+}
+
 // Stats returns a snapshot of cumulative counters, the amplification
 // ledger, and the store's current shape.
 func (s *Store) Stats() Stats {
@@ -1412,7 +1428,7 @@ func (s *Store) Stats() Stats {
 		PruneTimeSkips:      s.pruneTime.Load(),
 	}
 	cs := s.cache.Stats()
-	st.DiskReadBytes = cs.DiskReadBytes
+	st.DiskReadBytes = cs.DiskReadBytes + s.seqReadBytes.Load()
 	st.CacheHits = cs.Hits
 	st.CacheMisses = cs.Misses
 	st.CacheEvictions = cs.Evictions

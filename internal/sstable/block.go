@@ -79,23 +79,36 @@ type block struct {
 }
 
 func parseBlock(raw []byte) (*block, error) {
+	b := &block{}
+	if err := b.parse(raw); err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
+// parse points b at raw in place, reusing b's restart array.
+func (b *block) parse(raw []byte) error {
 	if len(raw) < 4 {
-		return nil, corruptf("block shorter than restart count")
+		return corruptf("block shorter than restart count")
 	}
 	n := binary.LittleEndian.Uint32(raw[len(raw)-4:])
-	tail := 4 * (int(n) + 1)
-	if n == 0 || tail > len(raw) {
-		return nil, corruptf("restart array (%d entries) exceeds block", n)
+	if n == 0 || uint64(n) >= uint64(len(raw))/4 {
+		return corruptf("restart array (%d entries) exceeds block", n)
 	}
-	restartOff := len(raw) - tail
-	restarts := make([]uint32, n)
-	for i := range restarts {
-		restarts[i] = binary.LittleEndian.Uint32(raw[restartOff+4*i:])
-		if int(restarts[i]) >= restartOff && !(restarts[i] == 0 && restartOff == 0) {
-			return nil, corruptf("restart offset %d beyond entries", restarts[i])
+	restartOff := len(raw) - 4*(int(n)+1)
+	restarts := b.restarts[:0]
+	if cap(restarts) < int(n) {
+		restarts = make([]uint32, 0, n)
+	}
+	for i := 0; i < int(n); i++ {
+		r := binary.LittleEndian.Uint32(raw[restartOff+4*i:])
+		if int(r) >= restartOff && !(r == 0 && restartOff == 0) {
+			return corruptf("restart offset %d beyond entries", r)
 		}
+		restarts = append(restarts, r)
 	}
-	return &block{data: raw[:restartOff], restarts: restarts}, nil
+	b.data, b.restarts = raw[:restartOff], restarts
+	return nil
 }
 
 // blockIter iterates over a parsed block.

@@ -12,10 +12,11 @@ import (
 // offset) and evicted in least-recently-used order once the byte budget is
 // exceeded. Safe for concurrent use.
 //
-// The cache is also the read path's byte-accounting point: every data-block
-// lookup lands here, so hits, misses, evictions and the bytes its readers
-// pulled from disk (on misses and metadata loads) are counted as cheap
-// atomics, snapshotted by Stats.
+// The cache is also the cached read path's byte-accounting point: every
+// cached data-block lookup lands here, so hits, misses, evictions and the
+// bytes its readers pulled from disk on misses are counted as cheap
+// atomics, snapshotted by Stats. Sequential iterators and the index and
+// filter loads at open bypass the cache and are not counted.
 type BlockCache struct {
 	mu       sync.Mutex
 	capacity int64
@@ -30,8 +31,8 @@ type BlockCache struct {
 }
 
 // CacheStats is a point-in-time snapshot of a cache's effectiveness
-// counters. DiskReadBytes covers every disk read its readers performed:
-// data-block misses plus index/filter/footer loads at open.
+// counters. DiskReadBytes is the stored bytes of the data blocks its
+// readers fetched on misses.
 type CacheStats struct {
 	Hits          int64 `json:"hits"`
 	Misses        int64 `json:"misses"`
@@ -65,7 +66,7 @@ func (c *BlockCache) Stats() CacheStats {
 	return st
 }
 
-// recordDiskRead accounts n raw bytes read from disk by an owning reader.
+// recordDiskRead accounts n stored bytes an owning reader fetched on a miss.
 func (c *BlockCache) recordDiskRead(n int64) { c.diskReadBytes.Add(n) }
 
 type cacheKey struct {

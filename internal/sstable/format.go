@@ -103,6 +103,16 @@ func (h handle) encode(dst []byte) {
 	binary.LittleEndian.PutUint64(dst[8:16], h.length)
 }
 
+// span checks that the stored block — payload plus trailer — lies within
+// the first limit bytes of the file, without overflow, and returns its end
+// offset.
+func (h handle) span(limit uint64) (uint64, error) {
+	if h.length > limit || h.offset > limit-h.length || limit-h.length-h.offset < trailerLen {
+		return 0, corruptf("block handle %d+%d beyond %d-byte region", h.offset, h.length, limit)
+	}
+	return h.offset + h.length + trailerLen, nil
+}
+
 func decodeHandle(b []byte) handle {
 	return handle{
 		offset: binary.LittleEndian.Uint64(b[0:8]),

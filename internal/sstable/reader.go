@@ -17,7 +17,7 @@ import (
 // Safe for concurrent use.
 type Reader struct {
 	mu     sync.RWMutex
-	f      *os.File
+	f      file
 	size   int64
 	closed bool
 
@@ -27,6 +27,7 @@ type Reader struct {
 	first   []byte // smallest key
 	last    []byte // largest key
 
+	dataEnd      uint64      // end of the data blocks: the bloom or index offset
 	compression  Compression // data-block encoding declared by the footer
 	minTS, maxTS int64       // time bounds from the footer
 	hasTS        bool        // false for timestamp-less keys
@@ -54,16 +55,31 @@ func OpenWithCache(path string, cache *BlockCache) (*Reader, error) {
 		f.Close()
 		return nil, fmt.Errorf("sstable: stat: %w", err)
 	}
-	if cache == nil {
-		cache = NewBlockCache(0)
-	}
-	r := &Reader{f: f, size: st.Size(), cache: cache}
-	if err := r.loadFooter(); err != nil {
+	r, err := newReader(f, st.Size(), cache)
+	if err != nil {
 		f.Close()
 		return nil, err
 	}
+	return r, nil
+}
+
+// file is what a Reader needs of its table file.
+type file interface {
+	io.ReaderAt
+	io.Closer
+}
+
+// newReader parses the footer, index, filter and key bounds of the size
+// bytes behind f; on error the caller still owns f.
+func newReader(f file, size int64, cache *BlockCache) (*Reader, error) {
+	if cache == nil {
+		cache = NewBlockCache(0)
+	}
+	r := &Reader{f: f, size: size, cache: cache}
+	if err := r.loadFooter(); err != nil {
+		return nil, err
+	}
 	if err := r.loadBounds(); err != nil {
-		f.Close()
 		return nil, err
 	}
 	return r, nil
@@ -85,7 +101,8 @@ func (r *Reader) loadFooter() error {
 	r.compression = ft.compression
 	r.minTS, r.maxTS, r.hasTS = ft.minTS, ft.maxTS, ft.hasTS
 
-	rawIndex, err := r.readBlockRaw(ft.index)
+	var inf inflater
+	rawIndex, err := r.readBlockRaw(ft.index, uint64(r.size), &inf)
 	if err != nil {
 		return err
 	}
@@ -93,60 +110,102 @@ func (r *Reader) loadFooter() error {
 	if err != nil {
 		return err
 	}
+	r.dataEnd = ft.index.offset
 
 	if ft.bloom.length > 0 {
-		rawBloom, err := r.readBlockRaw(ft.bloom)
+		rawBloom, err := r.readBlockRaw(ft.bloom, uint64(r.size), &inf)
 		if err != nil {
 			return err
 		}
 		r.filter = bloom.Filter(rawBloom)
+		r.dataEnd = min(r.dataEnd, ft.bloom.offset)
 	}
 	return nil
 }
 
+// loadBounds records the smallest and largest keys. The first key comes
+// from the first data block, read without the block cache; the largest is
+// the index's last key, which equals the table's last key by construction.
 func (r *Reader) loadBounds() error {
-	it := r.NewIterator()
-	it.SeekToFirst()
-	if !it.Valid() {
-		return corruptf("table reports %d entries but iterates empty", r.entries)
+	ix := r.index.iter()
+	ix.seekToFirst()
+	if !ix.valid {
+		if ix.err != nil {
+			return ix.err
+		}
+		return corruptf("table reports %d entries but has no data blocks", r.entries)
 	}
-	r.first = append([]byte(nil), it.Key()...)
+	h, err := indexHandle(ix.value)
+	if err != nil {
+		return err
+	}
+	var inf inflater
+	raw, err := r.readBlockRaw(h, r.dataEnd, &inf)
+	if err != nil {
+		return err
+	}
+	b, err := parseBlock(raw)
+	if err != nil {
+		return err
+	}
+	first := b.iter()
+	first.seekToFirst()
+	if !first.valid {
+		if first.err != nil {
+			return first.err
+		}
+		return corruptf("table reports %d entries but its first block is empty", r.entries)
+	}
+	r.first = append([]byte(nil), first.key...)
 
-	// Largest key: last entry of the last data block. The index's last
-	// entry key equals the table's last key by construction.
-	last := r.index.iter()
-	last.seekToFirst()
-	var lk []byte
-	for last.valid {
-		lk = append(lk[:0], last.key...)
-		last.next()
+	lk := append([]byte(nil), ix.key...)
+	for ix.next() {
+		lk = append(lk[:0], ix.key...)
 	}
-	if last.err != nil {
-		return last.err
+	if ix.err != nil {
+		return ix.err
 	}
-	r.last = append([]byte(nil), lk...)
-	return it.Error()
+	r.last = lk
+	return nil
 }
 
-// readBlockRaw reads, checksum-verifies and decompresses a block. The
-// handle's length is the stored (possibly compressed) payload size;
-// disk-read accounting records the stored bytes actually fetched.
-func (r *Reader) readBlockRaw(h handle) ([]byte, error) {
-	if h.offset+h.length+trailerLen > uint64(r.size) {
-		return nil, corruptf("block handle %d+%d beyond file size %d", h.offset, h.length, r.size)
+// indexHandle decodes the data-block handle an index entry points at.
+func indexHandle(value []byte) (handle, error) {
+	if len(value) != 16 {
+		return handle{}, corruptf("index value of %d bytes", len(value))
 	}
-	buf := make([]byte, h.length+trailerLen)
+	return decodeHandle(value), nil
+}
+
+// readBlockRaw reads the block at h, which must lie within the first limit
+// bytes of the file, into a fresh buffer and decodes it.
+func (r *Reader) readBlockRaw(h handle, limit uint64, inf *inflater) ([]byte, error) {
+	end, err := h.span(limit)
+	if err != nil {
+		return nil, err
+	}
+	buf := make([]byte, end-h.offset)
 	if _, err := r.f.ReadAt(buf, int64(h.offset)); err != nil {
 		return nil, fmt.Errorf("sstable: read block: %w", err)
 	}
-	if r.cache != nil {
-		r.cache.recordDiskRead(int64(len(buf)))
+	return decodeBlock(buf, h, inf, nil)
+}
+
+// decodeBlock verifies and decodes one stored block: its payload plus the
+// trailer, exactly as read from h.offset. It checks the length against the
+// handle and the CRC over payload and type byte, then returns the payload
+// itself (raw blocks, aliasing stored) or its inflation by inf appended to
+// dst[:0] (flate blocks). Every block read, cached or sequential, passes
+// here.
+func decodeBlock(stored []byte, h handle, inf *inflater, dst []byte) ([]byte, error) {
+	if uint64(len(stored)) != h.length+trailerLen {
+		return nil, corruptf("block at %d: %d stored bytes, handle says %d", h.offset, len(stored), h.length+trailerLen)
 	}
 	// Trailer: [type][crc32(payload+type)].
-	body := buf[:h.length]
-	ctype := Compression(buf[h.length])
-	want := binary.LittleEndian.Uint32(buf[h.length+1:])
-	got := crc32.Update(checksum(body), crcTable, buf[h.length:h.length+1])
+	body := stored[:h.length]
+	ctype := Compression(stored[h.length])
+	want := binary.LittleEndian.Uint32(stored[h.length+1:])
+	got := crc32.Update(checksum(body), crcTable, stored[h.length:h.length+1])
 	if got != want {
 		return nil, corruptf("checksum mismatch for block at %d", h.offset)
 	}
@@ -154,12 +213,8 @@ func (r *Reader) readBlockRaw(h handle) ([]byte, error) {
 	case NoCompression:
 		return body, nil
 	case FlateCompression:
-		fr := flate.NewReader(bytes.NewReader(body))
-		raw, err := io.ReadAll(fr)
+		raw, err := inf.inflate(body, dst)
 		if err != nil {
-			return nil, corruptf("decompress block at %d: %v", h.offset, err)
-		}
-		if err := fr.Close(); err != nil {
 			return nil, corruptf("decompress block at %d: %v", h.offset, err)
 		}
 		return raw, nil
@@ -167,15 +222,53 @@ func (r *Reader) readBlockRaw(h handle) ([]byte, error) {
 	return nil, corruptf("unknown block compression %d at %d", ctype, h.offset)
 }
 
-// dataBlock returns the parsed data block for a handle, consulting the cache.
-func (r *Reader) dataBlock(h handle) (*block, error) {
+// inflater is a DEFLATE decoder reused across the blocks one iterator
+// reads; a fresh flate reader allocates tens of kilobytes of tables, so it
+// is built on the first compressed block only. The zero value is ready.
+type inflater struct {
+	src bytes.Reader
+	fr  io.ReadCloser
+}
+
+// inflate decompresses body, appending to dst[:0]. The output grows only as
+// decoded bytes arrive; a nil dst starts at twice the stored size.
+func (inf *inflater) inflate(body, dst []byte) ([]byte, error) {
+	inf.src.Reset(body)
+	if inf.fr == nil {
+		inf.fr = flate.NewReader(&inf.src)
+	} else if err := inf.fr.(flate.Resetter).Reset(&inf.src, nil); err != nil {
+		return nil, err
+	}
+	out := dst[:0]
+	if out == nil {
+		out = make([]byte, 0, 2*len(body))
+	}
+	for {
+		if len(out) == cap(out) {
+			out = append(out, 0)[:len(out)]
+		}
+		n, err := inf.fr.Read(out[len(out):cap(out)])
+		out = out[:len(out)+n]
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+}
+
+// dataBlock returns the parsed data block for a handle, consulting the
+// cache; a miss charges the stored bytes to the cache's disk-read counter.
+func (r *Reader) dataBlock(h handle, inf *inflater) (*block, error) {
 	if b, ok := r.cache.get(r, h.offset); ok {
 		return b, nil
 	}
-	raw, err := r.readBlockRaw(h)
+	raw, err := r.readBlockRaw(h, r.dataEnd, inf)
 	if err != nil {
 		return nil, err
 	}
+	r.cache.recordDiskRead(int64(h.length + trailerLen))
 	b, err := parseBlock(raw)
 	if err != nil {
 		return nil, err
@@ -251,17 +344,43 @@ func (r *Reader) Close() error {
 	return r.f.Close()
 }
 
-// Iterator walks a table in ascending key order.
+// Iterator walks a table in ascending key order. A cached iterator
+// (NewIterator) fetches each data block through the block cache; a
+// sequential one (NewSeqIterator) streams them through a private read-ahead
+// window and never touches the cache.
 type Iterator struct {
 	r       *Reader
 	indexIt *blockIter
 	dataIt  *blockIter
 	err     error
+	inf     inflater
+	ra      *readAhead // non-nil for a sequential iterator
 }
 
-// NewIterator returns an unpositioned iterator; call Seek or SeekToFirst.
+// NewIterator returns an unpositioned cached iterator; call Seek or
+// SeekToFirst. It suits reads that touch a few blocks: point lookups and
+// ranges narrower than the table.
 func (r *Reader) NewIterator() *Iterator {
 	return &Iterator{r: r, indexIt: r.index.iter()}
+}
+
+// NewSeqIterator returns an unpositioned sequential iterator for a read
+// that covers the table end to end, such as a compaction input or a scan
+// whose range spans the whole table. It reads the data region front to
+// back in windows of up to readAheadBytes, parses each block in place and
+// neither consults nor fills the block cache. Key and Value slices are
+// valid only until the next positioning call.
+func (r *Reader) NewSeqIterator() *Iterator {
+	return &Iterator{r: r, indexIt: r.index.iter(), ra: &readAhead{r: r}}
+}
+
+// DiskReadBytes reports the bytes a sequential iterator has fetched from
+// disk; 0 for a cached iterator, whose misses the block cache counts.
+func (it *Iterator) DiskReadBytes() int64 {
+	if it.ra == nil {
+		return 0
+	}
+	return it.ra.read
 }
 
 // SeekToFirst positions at the table's first entry.
@@ -327,11 +446,16 @@ func (it *Iterator) loadDataBlock() {
 	if !it.indexIt.valid {
 		return
 	}
-	if len(it.indexIt.value) != 16 {
-		it.err = corruptf("index value of %d bytes", len(it.indexIt.value))
+	h, err := indexHandle(it.indexIt.value)
+	if err != nil {
+		it.err = err
 		return
 	}
-	b, err := it.r.dataBlock(decodeHandle(it.indexIt.value))
+	if it.ra != nil {
+		it.dataIt, it.err = it.ra.block(h, &it.inf)
+		return
+	}
+	b, err := it.r.dataBlock(h, &it.inf)
 	if err != nil {
 		it.err = err
 		return

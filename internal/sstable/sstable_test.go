@@ -2,6 +2,7 @@ package sstable
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -456,5 +457,28 @@ func BenchmarkReaderGet(b *testing.B) {
 		if _, err := r.Get([]byte(fmt.Sprintf("key-%012d", i%n))); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestHandleLengthOverflowRejected: a footer handle whose length wraps the
+// offset+length+trailer sum must be refused as corrupt, not sized into a
+// buffer.
+func TestHandleLengthOverflowRejected(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.sst")
+	buildTable(t, path, WriterOptions{}, seqKVs(100))
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The index handle's length field: footer bytes 8..16.
+	binary.LittleEndian.PutUint64(data[len(data)-footerLen+8:], ^uint64(0)-2)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if r, err := Open(path); !errors.Is(err, ErrCorrupt) {
+		if err == nil {
+			r.Close()
+		}
+		t.Fatalf("Open = %v, want ErrCorrupt", err)
 	}
 }

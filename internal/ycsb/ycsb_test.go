@@ -229,7 +229,7 @@ func TestIntendedLatencyExposesStall(t *testing.T) {
 		t.Fatalf("service median %.2fms — stall leaked into unrelated ops",
 			float64(service.Percentile(50))/1e6)
 	}
-	if in.Mean() < (30 * time.Millisecond).Seconds()*1e9 {
+	if in.Mean() < (30*time.Millisecond).Seconds()*1e9 {
 		t.Fatalf("intended mean %.2fms too low — backlog not charged to the schedule",
 			in.Mean()/1e6)
 	}
