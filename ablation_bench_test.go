@@ -18,7 +18,8 @@ import (
 	"tpcxiot/internal/ycsb"
 )
 
-// liveIngest runs a small real ingest and returns its IoTps.
+// liveIngest runs a small real benchmark iteration and returns the IoTps
+// of its measured run.
 func liveIngest(b *testing.B, store lsm.Options, writeBuffer int64, preSplit bool) float64 {
 	b.Helper()
 	b.StopTimer()
@@ -47,18 +48,18 @@ func liveIngest(b *testing.B, store lsm.Options, writeBuffer int64, preSplit boo
 	}
 	b.StartTimer()
 
-	cfg := driver.Config{
+	res, err := driver.Run(driver.Config{
 		Drivers:            drivers,
 		TotalKVPs:          6_000,
 		ThreadsPerDriver:   4,
+		Iterations:         1,
 		SUT:                &rawSUT{cluster: cluster, writeBuffer: writeBuffer},
 		MinWorkloadSeconds: 0.001,
-	}
-	exec, err := driver.ExecuteWorkload(cfg)
+	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	return exec.IoTps()
+	return res.Iterations[0].Measured.IoTps()
 }
 
 // rawSUT is a minimal SUT over an externally created table, so ablations

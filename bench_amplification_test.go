@@ -21,6 +21,22 @@ import (
 	"tpcxiot/internal/wal"
 )
 
+// drainIter calls fn with each live key of a just-opened store iterator and
+// closes it, failing the benchmark on any open or iteration error.
+func drainIter(b *testing.B, it *lsm.Iter, err error, fn func(key []byte)) {
+	b.Helper()
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer it.Close()
+	for ; it.Valid(); it.Next() {
+		fn(it.Key())
+	}
+	if err := it.Error(); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // BenchmarkClusterAmplification ingests a fixed 2000 rows of 1 KiB per op
 // (so even -benchtime=1x is a sustained run with real flushes and
 // compactions) into a 3-node, 3-way-replicated single-region table, swept
@@ -233,35 +249,27 @@ func BenchmarkClusterAmplification(b *testing.B) {
 			}
 
 			// Cold-window time-range scan vs the unpruned full scan over the
-			// same entries. ScanTime runs first, so any block-cache warming
-			// biases against the pruned path — the saving is a floor.
+			// same entries. The time-range scan runs first, so any block-cache
+			// warming biases against the pruned path — the saving is a floor.
 			const coldLo, coldHi = 0, 1000
 			st0 := cluster.Storage().Totals
 			pruned := 0
 			for _, srv := range cluster.Servers() {
 				for _, r := range srv.Regions() {
-					err := r.ScanTime(nil, nil, coldLo, coldHi, func(k, v []byte) error {
-						pruned++
-						return nil
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
+					it, err := r.Store().NewIteratorTime(nil, nil, coldLo, coldHi)
+					drainIter(b, it, err, func(k []byte) { pruned++ })
 				}
 			}
 			st1 := cluster.Storage().Totals
 			full := 0
 			for _, srv := range cluster.Servers() {
 				for _, r := range srv.Regions() {
-					err := r.Scan(nil, nil, func(k, v []byte) error {
+					it, err := r.Store().NewIterator(nil, nil)
+					drainIter(b, it, err, func(k []byte) {
 						if ts, ok := kvp.TimestampOf(k); ok && ts >= coldLo && ts < coldHi {
 							full++
 						}
-						return nil
 					})
-					if err != nil {
-						b.Fatal(err)
-					}
 				}
 			}
 			st2 := cluster.Storage().Totals

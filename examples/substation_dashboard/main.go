@@ -63,11 +63,11 @@ func main() {
 
 	// Dashboard loop: a separate client issuing the four query templates
 	// against a few instruments while ingest continues.
-	client, err := cluster.NewClient("iot", 0)
+	db, err := workload.ClusterBinding(cluster, "iot", 0)(0)
 	if err != nil {
 		log.Fatal(err)
 	}
-	db := clientDB{client}
+	defer db.Close()
 	watch := []string{"pmu-freq-000", "ltc-gas-000", "leakage-000", "xfmr-temp-000"}
 	templates := []workload.QueryKind{
 		workload.QueryMax, workload.QueryMin, workload.QueryAvg, workload.QueryCount,
@@ -100,39 +100,3 @@ func main() {
 	st := inst.Stats()
 	fmt.Printf("ingest complete: %d readings from %d sensors\n", st.Inserted, 200)
 }
-
-// clientDB adapts the cluster client to the query helper's DB interface.
-type clientDB struct{ c *hbase.Client }
-
-func (d clientDB) Insert(key, value []byte) error        { return d.c.Put(key, value) }
-func (d clientDB) Read(key []byte) ([]byte, bool, error) { return d.c.Get(key) }
-func (d clientDB) Scan(lo, hi []byte, limit int) ([]ycsb.KV, error) {
-	rows, err := d.c.Scan(lo, hi, limit)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]ycsb.KV, len(rows))
-	for i, r := range rows {
-		out[i] = ycsb.KV{Key: r.Key, Value: r.Value}
-	}
-	return out, nil
-}
-func (d clientDB) ScanIter(lo, hi []byte, limit int) (ycsb.RowIter, error) {
-	sc, err := d.c.NewScanner(lo, hi, limit)
-	if err != nil {
-		return nil, err
-	}
-	return scannerIter{sc: sc}, nil
-}
-
-// scannerIter streams the client Scanner's rows to the query helper.
-type scannerIter struct{ sc *hbase.Scanner }
-
-func (it scannerIter) Next() (ycsb.KV, bool, error) {
-	row, ok, err := it.sc.Next()
-	return ycsb.KV{Key: row.Key, Value: row.Value}, ok, err
-}
-
-func (it scannerIter) Close() error { return it.sc.Close() }
-
-func (d clientDB) Close() error { return d.c.Close() }

@@ -381,7 +381,7 @@ func IntervalSignals(p telemetry.Point) []string {
 	if n := pointCounter(p, "workload.shed_ops"); n > 0 {
 		out = append(out, fmt.Sprintf("shed_ops=+%d", n))
 	}
-	if n := pointCounter(p, "lsm.write_stalls"); n > 0 {
+	if n := pointCounter(p, "lsm.stalls"); n > 0 {
 		out = append(out, fmt.Sprintf("write_stalls=+%d", n))
 	}
 	if n := pointGauge(p, "lsm.compaction_debt_bytes"); n > 0 {

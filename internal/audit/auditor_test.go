@@ -173,8 +173,8 @@ func TestViolationSignalAttribution(t *testing.T) {
 
 func TestTaggedCountersSummedWithoutAggregate(t *testing.T) {
 	p := telemetry.Point{Counters: []telemetry.Value{
-		{Name: "lsm.write_stalls{region=iot,00000,server=0}", Value: 2},
-		{Name: "lsm.write_stalls{region=iot,00001,server=1}", Value: 3},
+		{Name: "lsm.stalls{region=iot,00000,server=0}", Value: 2},
+		{Name: "lsm.stalls{region=iot,00001,server=1}", Value: 3},
 	}}
 	sig := strings.Join(IntervalSignals(p), " ")
 	if !strings.Contains(sig, "write_stalls=+5") {

@@ -473,18 +473,8 @@ func Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// ExecuteWorkload runs a single workload execution (all driver instances
-// concurrently) outside a full benchmark; the benchmark itself uses the
-// same path. Exported for experiments that need one execution, such as
-// warmup-free scaling probes.
-func ExecuteWorkload(cfg Config) (Execution, error) {
-	c, err := cfg.withDefaults()
-	if err != nil {
-		return Execution{}, err
-	}
-	return executeWorkload(c, 1)
-}
-
+// executeWorkload runs one workload execution: all driver instances
+// concurrently. salt varies the instances' seeds between executions.
 func executeWorkload(c Config, salt uint64) (Execution, error) {
 	type driverRun struct {
 		outcome DriverOutcome

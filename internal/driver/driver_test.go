@@ -211,10 +211,19 @@ func TestSingleIterationSkipsCleanupAndRepeatability(t *testing.T) {
 	}
 }
 
+// executeOnce runs one workload execution outside a full benchmark.
+func executeOnce(cfg Config) (Execution, error) {
+	c, err := cfg.withDefaults()
+	if err != nil {
+		return Execution{}, err
+	}
+	return executeWorkload(c, 1)
+}
+
 func TestExecutionAggregates(t *testing.T) {
 	sut := newMemSUT()
 	clock := newTestClock(time.Millisecond)
-	exec, err := ExecuteWorkload(Config{
+	exec, err := executeOnce(Config{
 		SUT: sut, Drivers: 3, TotalKVPs: 12_000,
 		ThreadsPerDriver: 2, MinWorkloadSeconds: 0.001, Now: clock.Now, Seed: 5,
 	})
@@ -246,7 +255,7 @@ func TestExecutionAggregates(t *testing.T) {
 func TestExecutionSubstationsDistinct(t *testing.T) {
 	sut := newMemSUT()
 	clock := newTestClock(time.Millisecond)
-	exec, err := ExecuteWorkload(Config{
+	exec, err := executeOnce(Config{
 		SUT: sut, Drivers: 4, TotalKVPs: 4_000,
 		ThreadsPerDriver: 1, MinWorkloadSeconds: 0.001, Now: clock.Now,
 	})

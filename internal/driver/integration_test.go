@@ -116,7 +116,7 @@ func TestLiveCleanupBetweenIterations(t *testing.T) {
 	}
 
 	// Ingest, then cleanup, then check emptiness directly.
-	if _, err := ExecuteWorkload(Config{
+	if _, err := executeOnce(Config{
 		Drivers: 1, TotalKVPs: 500, ThreadsPerDriver: 1,
 		SUT: sut, MinWorkloadSeconds: 0.001,
 	}); err != nil {
@@ -151,7 +151,7 @@ func TestLiveQueriesSeeIngestedData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exec, err := ExecuteWorkload(Config{
+	exec, err := executeOnce(Config{
 		Drivers: 1, TotalKVPs: 6_000, ThreadsPerDriver: 1,
 		SUT: sut, MinWorkloadSeconds: 0.001, Seed: 5,
 	})

@@ -1,10 +1,13 @@
 package driver
 
 import (
+	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
+	"tpcxiot/internal/audit"
 	"tpcxiot/internal/hbase"
 	"tpcxiot/internal/lsm"
 	"tpcxiot/internal/telemetry"
@@ -153,5 +156,74 @@ func TestTelemetryDisabledIsInert(t *testing.T) {
 	}
 	if strings.Contains(res.Report(), "Telemetry\n") {
 		t.Fatal("report renders telemetry section for an uninstrumented run")
+	}
+}
+
+// TestWriteStallsReachAuditAndReport stalls a real store opened with a
+// shared registry and region tags, and checks that the engine's stall
+// counter ("lsm.stalls") reaches both of its readers: the auditor's
+// interval signals and the report's per-region table.
+func TestWriteStallsReachAuditAndReport(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	s, err := lsm.Open(lsm.Options{
+		Dir:              t.TempDir(),
+		WALSync:          wal.SyncNever,
+		DisableAutoFlush: true,
+		MaxStoreFiles:    2,
+		Registry:         reg,
+		Tags:             []telemetry.Tag{{Key: "region", Value: "iot,00000"}, {Key: "server", Value: "0"}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ticker := telemetry.NewTicker(reg, time.Hour, nil)
+	ticker.Start()
+
+	// A large table then a tiny one: their sizes are too far apart to form a
+	// compaction tier, so the store sits at its two-file cap until a write
+	// stalls and forces the backpressure merge.
+	val := bytes.Repeat([]byte{'v'}, 512)
+	for i := 0; i < 200; i++ {
+		if err := s.Put([]byte(fmt.Sprintf("big-%04d", i)), val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put([]byte("tiny"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put([]byte("stalled"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	stalls := s.Stats().StallEvents
+	if stalls == 0 {
+		t.Fatal("a write at the store-file cap did not stall")
+	}
+
+	series := ticker.Stop()
+	if len(series.Points) != 1 {
+		t.Fatalf("ticker emitted %d points, want 1", len(series.Points))
+	}
+	sig := strings.Join(audit.IntervalSignals(series.Points[0]), " ")
+	if want := fmt.Sprintf("write_stalls=+%d", stalls); !strings.Contains(sig, want) {
+		t.Fatalf("interval signals %q missing %q", sig, want)
+	}
+
+	var b strings.Builder
+	writeRegionTable(&b, reg.Summary())
+	var row []string
+	for _, line := range strings.Split(b.String(), "\n") {
+		if f := strings.Fields(line); len(f) == 5 && f[0] == "iot,00000" {
+			row = f
+		}
+	}
+	if row == nil || row[4] != fmt.Sprint(stalls) {
+		t.Fatalf("region table stalls column = %v, want %d:\n%s", row, stalls, b.String())
 	}
 }

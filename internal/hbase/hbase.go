@@ -91,8 +91,8 @@ type Config struct {
 	Store lsm.Options
 	// Registry, when non-nil, collects cluster-wide telemetry: it is handed
 	// to every region's LSM store (and through it the WAL), to replication
-	// groups ("replication.acks"), to clients ("hbase.buffer_flushes",
-	// "put.client_flush") and to splits ("region.splits").
+	// groups ("replication.acks") and to clients ("hbase.buffer_flushes",
+	// "put.client_flush").
 	Registry *telemetry.Registry
 	// Tracer, when non-nil, samples client operations into distributed
 	// traces: each sampled Put/Get/scan chunk yields one span tree covering

@@ -241,7 +241,7 @@ func TestCompactionReadsChargedToCompaction(t *testing.T) {
 	// A full scan reads the one table end to end: sequentially, past the
 	// cache, and charged to the query ledger.
 	rows := 0
-	if err := s.Scan(nil, nil, func(k, v []byte) error { rows++; return nil }); err != nil {
+	if err := scan(s, nil, nil, func(k, v []byte) error { rows++; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	st2 := s.Stats()
@@ -257,7 +257,7 @@ func TestCompactionReadsChargedToCompaction(t *testing.T) {
 	}
 
 	// A range inside the table takes the cached path.
-	if err := s.Scan([]byte("k0100"), []byte("k0110"), func(k, v []byte) error { return nil }); err != nil {
+	if err := scan(s, []byte("k0100"), []byte("k0110"), func(k, v []byte) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if st3 := s.Stats(); st3.CacheMisses == st2.CacheMisses {

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"tpcxiot/internal/kvp"
 )
 
 // ErrBadWindow rejects aggregation requests whose window width is negative
@@ -162,11 +164,11 @@ func (s *Store) AggregateTime(lo, hi []byte, minTS, maxTS, windowMS int64, funcs
 	open := false
 	for ; it.Valid(); it.Next() {
 		key := it.Key()
-		series, ok := s.opts.KeySeries(key)
+		series, ok := kvp.SeriesOf(key)
 		if !ok {
 			continue
 		}
-		ts, ok := s.opts.KeyTimestamp(key)
+		ts, ok := kvp.TimestampOf(key)
 		if !ok {
 			continue // unreachable: the time filter already required one
 		}
@@ -182,7 +184,7 @@ func (s *Store) AggregateTime(lo, hi []byte, minTS, maxTS, windowMS int64, funcs
 		cur.Count++
 		res.RowsFolded++
 		if needValue {
-			v, err := s.opts.ValueReading(it.Value())
+			v, err := kvp.ReadingOf(it.Value())
 			if err != nil {
 				return AggResult{}, fmt.Errorf("lsm: aggregate %s: %w", funcs, err)
 			}

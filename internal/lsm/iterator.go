@@ -3,6 +3,7 @@ package lsm
 import (
 	"bytes"
 
+	"tpcxiot/internal/kvp"
 	"tpcxiot/internal/sstable"
 )
 
@@ -57,7 +58,7 @@ func (s *Store) NewIterator(lo, hi []byte) (*Iter, error) {
 }
 
 // NewIteratorTime is NewIterator restricted to entries whose key timestamp
-// (per Options.KeyTimestamp) satisfies minTS <= ts < maxTS, both unix ms.
+// (per kvp.TimestampOf) satisfies minTS <= ts < maxTS, both unix ms.
 // Entries without an extractable timestamp are outside every time range.
 // Beyond the per-entry filter, whole table files are pruned when their
 // footer time bounds cannot intersect the range, so scans over cold windows
@@ -168,7 +169,7 @@ func (it *Iter) skipDead() {
 			if !it.tsFilter {
 				return
 			}
-			ts, ok := it.store.opts.KeyTimestamp(it.merged.Key())
+			ts, ok := kvp.TimestampOf(it.merged.Key())
 			if ok && ts >= it.tsLo && ts < it.tsHi {
 				return
 			}

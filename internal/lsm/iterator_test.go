@@ -29,6 +29,27 @@ func iterKeys(t *testing.T, it *Iter) []string {
 	return keys
 }
 
+// scan drains a NewIterator over [lo, hi), calling fn for each live entry.
+func scan(s *Store, lo, hi []byte, fn func(k, v []byte) error) error {
+	it, err := s.NewIterator(lo, hi)
+	return drain(it, err, fn)
+}
+
+// drain calls fn for each live entry of a just-opened iterator and closes
+// it, returning the first error from the open, fn or the iteration.
+func drain(it *Iter, err error, fn func(k, v []byte) error) error {
+	if err != nil {
+		return err
+	}
+	defer it.Close()
+	for ; it.Valid(); it.Next() {
+		if err := fn(it.Key(), it.Value()); err != nil {
+			return err
+		}
+	}
+	return it.Error()
+}
+
 func TestIteratorStreamsLiveEntriesInRange(t *testing.T) {
 	s := openIterStore(t, Options{DisableAutoFlush: true})
 	for i := 0; i < 50; i++ {

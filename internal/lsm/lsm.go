@@ -7,9 +7,11 @@
 //
 //   - the memtable is the memstore; MemtableSize plays the role of the
 //     flush threshold,
-//   - the WAL segment cap models "maximum number of WAL files = 128",
 //   - MaxStoreFiles models hbase.hstore.blockingStoreFiles: when a store
 //     accumulates that many files, writes block until compaction catches up.
+//
+// The WAL has no segment cap: the engine does not model the paper's
+// hbase.regionserver.maxlogs = 128.
 //
 // Writes are durable (per the WAL sync policy) before they are visible.
 // Reads merge the active memtable, the flushing memtable, and the store
@@ -55,13 +57,13 @@ type Options struct {
 	// (hbase.hstore.blockingStoreFiles). Defaults to 28, the paper's tuning.
 	MaxStoreFiles int
 	// CompactTrigger is how many similar-sized tables inside the hot time
-	// window make a tier worth merging (and, for stores recovered from older
-	// versions, the legacy full-compaction trigger). Defaults to 6.
+	// window make a tier worth merging. Defaults to 6.
 	CompactTrigger int
 	// WindowDuration is the width of the time windows the compaction picker
 	// partitions the table set into. Tables are windowed by their newest key
-	// timestamp (file creation time when keys carry none); only the hot
-	// window churns, and cold windows are merged once and never rewritten.
+	// timestamp (kvp.TimestampOf; file creation time when keys carry none);
+	// only the hot window churns, and cold windows are merged once and never
+	// rewritten.
 	// Defaults to 5 minutes — at the benchmark cadence of one reading per
 	// sensor per second, that is a few memtable flushes per window.
 	WindowDuration time.Duration
@@ -69,23 +71,6 @@ type Options struct {
 	// by flushes and compactions (existing tables are readable either way).
 	// Defaults to no compression.
 	Compression sstable.Compression
-	// KeyTimestamp extracts the event timestamp (unix ms) from a key, used
-	// to window tables for compaction, record per-table time bounds, and
-	// prune files from time-range scans. Keys for which it reports false are
-	// unwindowed. Defaults to kvp.TimestampOf, the benchmark key layout.
-	KeyTimestamp func(key []byte) (int64, bool)
-	// KeySeries extracts the series identifier from a key — the prefix that
-	// groups rows of one logical time series (one sensor). The aggregation
-	// fold reports partial aggregates per (series, window). The returned
-	// slice may alias the key; the fold copies it when it must retain it.
-	// Keys for which it reports false belong to no series and are skipped by
-	// aggregation. Must be a key prefix so a key-ordered scan yields each
-	// series contiguously. Defaults to kvp.SeriesOf.
-	KeySeries func(key []byte) ([]byte, bool)
-	// ValueReading extracts the numeric reading from a stored value for
-	// min/max/sum/avg aggregation. Count-only aggregations never call it.
-	// Defaults to kvp.ReadingOf.
-	ValueReading func(value []byte) (float64, error)
 	// BlockSize is the SSTable data-block size. Defaults to 4 KiB.
 	BlockSize int
 	// BloomBitsPerKey sizes table Bloom filters. 0 selects the default.
@@ -95,8 +80,6 @@ type Options struct {
 	BlockCacheBytes int64
 	// WALSync selects log durability. Defaults to wal.SyncOnAppend.
 	WALSync wal.SyncPolicy
-	// MaxWALSegments caps live WAL segments (max WAL files). 0 = unlimited.
-	MaxWALSegments int
 	// DisableAutoFlush turns off size-triggered flushes; Flush must be
 	// called explicitly. Used by tests to control timing.
 	DisableAutoFlush bool
@@ -143,15 +126,6 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	if o.WindowDuration <= 0 {
 		o.WindowDuration = 5 * time.Minute
-	}
-	if o.KeyTimestamp == nil {
-		o.KeyTimestamp = kvp.TimestampOf
-	}
-	if o.KeySeries == nil {
-		o.KeySeries = kvp.SeriesOf
-	}
-	if o.ValueReading == nil {
-		o.ValueReading = kvp.ReadingOf
 	}
 	return o, nil
 }
@@ -494,9 +468,9 @@ func Open(opts Options) (*Store, error) {
 		pruneKeyC:       o.Registry.Counter("lsm.prune_key_skips"),
 		pruneTimeC:      o.Registry.Counter("lsm.prune_time_skips"),
 	}
-	o.Registry.Gauge("lsm.memtable_bytes", s.MemtableBytes)
+	o.Registry.Gauge("lsm.memtable_bytes", s.memtableBytesGauge)
 	o.Registry.Gauge("lsm.table_bytes", s.tableBytesGauge)
-	o.Registry.Gauge("lsm.tables", func() int64 { return int64(s.TableCount()) })
+	o.Registry.Gauge("lsm.tables", s.tablesGauge)
 	o.Registry.Gauge("lsm.compaction_debt_bytes", s.compactionDebtGauge)
 	o.Registry.Gauge("lsm.windows", func() int64 { return int64(len(s.TierStats())) })
 	o.Registry.Gauge("lsm.hot_window_tables", s.hotWindowTablesGauge)
@@ -512,7 +486,7 @@ func Open(opts Options) (*Store, error) {
 		s.met.flushBytesTagged = o.Registry.CounterTagged("lsm.flush_bytes", o.Tags...)
 		s.met.compactReadTagged = o.Registry.CounterTagged("lsm.compact_read_bytes", o.Tags...)
 		s.met.compactWriteTagged = o.Registry.CounterTagged("lsm.compact_write_bytes", o.Tags...)
-		o.Registry.GaugeTagged("lsm.memtable_bytes", s.MemtableBytes, o.Tags...)
+		o.Registry.GaugeTagged("lsm.memtable_bytes", s.memtableBytesGauge, o.Tags...)
 		o.Registry.GaugeTagged("lsm.table_bytes", s.tableBytesGauge, o.Tags...)
 	}
 	s.elog = o.Logger
@@ -535,11 +509,10 @@ func Open(opts Options) (*Store, error) {
 		return nil, fmt.Errorf("lsm: wal recovery: %w", err)
 	}
 	s.log, err = wal.Open(wal.Options{
-		Dir:         filepath.Join(o.Dir, "wal"),
-		Sync:        o.WALSync,
-		MaxSegments: o.MaxWALSegments,
-		Registry:    o.Registry,
-		Logger:      s.elog,
+		Dir:      filepath.Join(o.Dir, "wal"),
+		Sync:     o.WALSync,
+		Registry: o.Registry,
+		Logger:   s.elog,
 	})
 	if err != nil {
 		return nil, err
@@ -795,8 +768,7 @@ func (s *Store) ApplyBatch(parent telemetry.TSpan, writes []Write) error {
 	s.mu.Unlock()
 
 	// WAL first. Records are encoded once into pooled scratch space and the
-	// whole batch goes down in one group append; the ErrLogFull retry reuses
-	// the already-encoded records.
+	// whole batch goes down in one group append.
 	eb := s.encPool.Get().(*encodeBuf)
 	defer s.encPool.Put(eb)
 	recs := eb.encode(writes)
@@ -808,19 +780,7 @@ func (s *Store) ApplyBatch(parent telemetry.TSpan, writes []Write) error {
 	err := log.Append(walSp, recs...)
 	walSp.End()
 	if err != nil {
-		if !errors.Is(err, wal.ErrLogFull) {
-			return fmt.Errorf("lsm: wal append: %w", err)
-		}
-		// Force a flush so Truncate can reclaim segments, then retry once.
-		if ferr := s.Flush(); ferr != nil {
-			return fmt.Errorf("lsm: wal full and flush failed: %w", ferr)
-		}
-		retrySp := batchSp.Child("wal.append")
-		err = log.Append(retrySp, recs...)
-		retrySp.End()
-		if err != nil {
-			return fmt.Errorf("lsm: wal append after flush: %w", err)
-		}
+		return fmt.Errorf("lsm: wal append: %w", err)
 	}
 
 	memSp := s.met.memSpan.Start()
@@ -923,60 +883,21 @@ func (s *Store) Flush() error {
 // flushMemtable writes imm to a new table file and installs it.
 func (s *Store) flushMemtable(imm *memtable.Memtable) error {
 	sp := s.met.flushSpan.Start()
-	err := s.doFlushMemtable(imm)
-	sp.End()
-	return err
-}
-
-func (s *Store) doFlushMemtable(imm *memtable.Memtable) error {
-	s.mu.Lock()
-	id := s.nextID
-	s.nextID++
-	s.mu.Unlock()
-
-	path := s.tablePath(id)
-	w, err := sstable.NewWriter(path+tmpSuffix, sstable.WriterOptions{
-		BlockSize:       s.opts.BlockSize,
-		BloomBitsPerKey: s.opts.BloomBitsPerKey,
-		Compression:     s.opts.Compression,
-		TimestampOf:     s.opts.KeyTimestamp,
-	})
-	if err != nil {
-		return err
-	}
+	defer sp.End()
 	it := imm.NewIterator()
 	it.SeekToFirst()
-	var tombs int64
-	for ; it.Valid(); it.Next() {
-		if v := it.Value(); len(v) > 0 && v[0] == tagTombstone {
-			tombs++
-		}
-		if err := w.Add(it.Key(), it.Value()); err != nil {
-			w.Abort()
-			return err
-		}
-	}
-	if err := w.Finish(); err != nil {
-		if errors.Is(err, sstable.ErrEmptyTable) {
-			// Nothing to persist; just clear the immutable slot.
-			s.mu.Lock()
-			s.imm = nil
-			s.flushCond.Broadcast()
-			s.mu.Unlock()
-			return nil
-		}
-		return err
-	}
-	if err := os.Rename(path+tmpSuffix, path); err != nil {
-		return fmt.Errorf("lsm: install table: %w", err)
-	}
-	r, err := sstable.OpenWithCache(path, s.cache)
+	h, err := s.writeTable(it, false)
 	if err != nil {
 		return err
 	}
-	h := newTableHandle(id, path, r)
-	h.tombstones = tombs
-	s.accountCompression(w)
+	if h == nil {
+		// Nothing to persist; just clear the immutable slot.
+		s.mu.Lock()
+		s.imm = nil
+		s.flushCond.Broadcast()
+		s.mu.Unlock()
+		return nil
+	}
 
 	// The manifest commit is the transition: if it fails (or we crash before
 	// it) the renamed file is an unreferenced orphan, the WAL still holds the
@@ -1000,7 +921,7 @@ func (s *Store) doFlushMemtable(imm *memtable.Memtable) error {
 
 	if err := s.truncateWALIfQuiescent(); err != nil {
 		// The flush itself succeeded — the table is installed — but leaked
-		// WAL segments consume the segment budget, so the caller must know.
+		// WAL segments grow the log and its replay, so the caller must know.
 		return fmt.Errorf("lsm: wal truncate after flush: %w", err)
 	}
 	return nil
@@ -1028,17 +949,67 @@ func (s *Store) commitAndInstall(edit manifestEdit, install func()) error {
 	return nil
 }
 
-// accountCompression folds one finished writer's compression ledger into
-// the store's counters.
-func (s *Store) accountCompression(w *sstable.Writer) {
-	raw, stored := w.CompressionStats()
-	if raw == 0 && stored == 0 {
-		return
+// writeTable writes src's entries, in key order, to a new table file and
+// opens it: the sstable writer fills and fsyncs a temporary file, which is
+// renamed into place. dropTombstones leaves tombstones out (a merge with
+// nothing older beneath it). It returns a nil handle, and leaves no file,
+// when nothing was written. The caller commits the table to the manifest.
+func (s *Store) writeTable(src iterator, dropTombstones bool) (*tableHandle, error) {
+	s.mu.Lock()
+	id := s.nextID
+	s.nextID++
+	s.mu.Unlock()
+
+	path := s.tablePath(id)
+	w, err := sstable.NewWriter(path+tmpSuffix, sstable.WriterOptions{
+		BlockSize:       s.opts.BlockSize,
+		BloomBitsPerKey: s.opts.BloomBitsPerKey,
+		Compression:     s.opts.Compression,
+		TimestampOf:     kvp.TimestampOf,
+	})
+	if err != nil {
+		return nil, err
 	}
+	var tombs int64
+	for ; src.Valid(); src.Next() {
+		v := src.Value()
+		if len(v) == 0 || v[0] != tagValue {
+			if dropTombstones {
+				continue
+			}
+			tombs++
+		}
+		if err := w.Add(src.Key(), v); err != nil {
+			w.Abort()
+			return nil, err
+		}
+	}
+	if e, ok := src.(errIterator); ok && e.Error() != nil {
+		w.Abort()
+		return nil, e.Error()
+	}
+	if w.EntryCount() == 0 {
+		w.Abort()
+		return nil, nil
+	}
+	if err := w.Finish(); err != nil {
+		return nil, err
+	}
+	if err := os.Rename(path+tmpSuffix, path); err != nil {
+		return nil, fmt.Errorf("lsm: install table: %w", err)
+	}
+	r, err := sstable.OpenWithCache(path, s.cache)
+	if err != nil {
+		return nil, err
+	}
+	h := newTableHandle(id, path, r)
+	h.tombstones = tombs
+	raw, stored := w.CompressionStats()
 	s.compressRaw.Add(raw)
 	s.compressStored.Add(stored)
 	s.met.compressRawC.Add(raw)
 	s.met.compressStoredC.Add(stored)
+	return h, nil
 }
 
 // truncateWALIfQuiescent drops all but the active WAL segment when there is
@@ -1101,24 +1072,11 @@ func (s *Store) compactPick(pick *compactionPick) error {
 		}
 	}()
 
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	s.mu.RLock()
+	closed := s.closed
+	s.mu.RUnlock()
+	if closed {
 		return ErrClosed
-	}
-	id := s.nextID
-	s.nextID++
-	s.mu.Unlock()
-
-	path := s.tablePath(id)
-	w, err := sstable.NewWriter(path+tmpSuffix, sstable.WriterOptions{
-		BlockSize:       s.opts.BlockSize,
-		BloomBitsPerKey: s.opts.BloomBitsPerKey,
-		Compression:     s.opts.Compression,
-		TimestampOf:     s.opts.KeyTimestamp,
-	})
-	if err != nil {
-		return err
 	}
 
 	// Inputs are a contiguous span of the newest-first table list, in order,
@@ -1130,62 +1088,25 @@ func (s *Store) compactPick(pick *compactionPick) error {
 		it.SeekToFirst()
 		iters[i] = it
 	}
-	merged := newMergeIterator(iters)
-	wrote := 0
-	var tombs int64
-	for merged.Valid() {
-		v := merged.Value()
-		live := len(v) > 0 && v[0] == tagValue
-		if live || !pick.dropTombstones {
-			if err := w.Add(merged.Key(), v); err != nil {
-				w.Abort()
-				return err
-			}
-			wrote++
-			if !live {
-				tombs++
-			}
-		}
-		merged.Next()
-	}
-	if err := merged.Error(); err != nil {
-		w.Abort()
+	out, err := s.writeTable(newMergeIterator(iters), pick.dropTombstones)
+	if err != nil {
 		return err
 	}
 	// The merge read every input in full; account those bytes whether or not
 	// anything survives (an all-tombstone merge still did the I/O). This is
 	// the only ledger entry for compaction reads.
 	var readBytes int64
+	edit := manifestEdit{Deleted: make([]uint64, 0, len(old))}
 	for _, t := range old {
 		readBytes += t.size
+		edit.Deleted = append(edit.Deleted, t.id)
 	}
 	s.compactReadBytes.Add(readBytes)
 	s.met.compactReadC.Add(readBytes)
 	s.met.compactReadTagged.Add(readBytes)
-
-	var out *tableHandle
 	var writeBytes int64
-	edit := manifestEdit{Deleted: make([]uint64, 0, len(old))}
-	for _, t := range old {
-		edit.Deleted = append(edit.Deleted, t.id)
-	}
-	if wrote == 0 {
-		w.Abort()
-	} else {
-		if err := w.Finish(); err != nil {
-			return err
-		}
-		if err := os.Rename(path+tmpSuffix, path); err != nil {
-			return fmt.Errorf("lsm: install table: %w", err)
-		}
-		r, err := sstable.OpenWithCache(path, s.cache)
-		if err != nil {
-			return err
-		}
-		out = newTableHandle(id, path, r)
-		out.tombstones = tombs
+	if out != nil {
 		writeBytes = out.size
-		s.accountCompression(w)
 		edit.Added = []tableMeta{out.meta()}
 	}
 	s.compactWriteBytes.Add(writeBytes)
@@ -1350,48 +1271,6 @@ func decodeLive(stored []byte) ([]byte, bool, error) {
 	return stored[1:], true, nil
 }
 
-// Entry is one key-value pair returned by Scan.
-type Entry struct {
-	Key   []byte
-	Value []byte
-}
-
-// Scan returns all live entries with lo <= key < hi in ascending order,
-// calling fn for each. fn's slices are only valid during the call. A nil hi
-// scans to the end of the keyspace. Scan is a materializing loop over
-// NewIterator and shares its snapshot semantics.
-func (s *Store) Scan(lo, hi []byte, fn func(key, value []byte) error) error {
-	it, err := s.NewIterator(lo, hi)
-	if err != nil {
-		return err
-	}
-	defer it.Close()
-	for ; it.Valid(); it.Next() {
-		if err := fn(it.Key(), it.Value()); err != nil {
-			return err
-		}
-	}
-	return it.Error()
-}
-
-// ScanTime is Scan restricted to entries whose key timestamp satisfies
-// minTS <= ts < maxTS (unix ms). Table files whose footer time bounds fall
-// entirely outside the range are pruned without any I/O; see
-// NewIteratorTime for the exact semantics.
-func (s *Store) ScanTime(lo, hi []byte, minTS, maxTS int64, fn func(key, value []byte) error) error {
-	it, err := s.NewIteratorTime(lo, hi, minTS, maxTS)
-	if err != nil {
-		return err
-	}
-	defer it.Close()
-	for ; it.Valid(); it.Next() {
-		if err := fn(it.Key(), it.Value()); err != nil {
-			return err
-		}
-	}
-	return it.Error()
-}
-
 // diskReadBytes is the query read path's disk traffic: block-cache misses
 // plus the windows sequential query iterators fetched.
 func (s *Store) diskReadBytes() int64 {
@@ -1539,6 +1418,21 @@ func (s *Store) Health() Health {
 	return h
 }
 
+// tablesGauge counts live table files ("lsm.tables").
+func (s *Store) tablesGauge() int64 {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return int64(len(s.tables))
+}
+
+// memtableBytesGauge reports the active memtable's approximate size
+// ("lsm.memtable_bytes").
+func (s *Store) memtableBytesGauge() int64 {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.active.Size()
+}
+
 // tableBytesGauge sums live table file sizes ("lsm.table_bytes").
 func (s *Store) tableBytesGauge() int64 {
 	s.mu.RLock()
@@ -1608,26 +1502,6 @@ func RegisterDerivedGauges(reg *telemetry.Registry) {
 		}
 		return reg.GaugeValue("lsm.disk_read_bytes") * 1000 / lr
 	})
-}
-
-// TableCount returns the number of live store files.
-//
-// Deprecated: Stats().Tables reports the same value alongside the rest of
-// the store's shape; prefer one Stats call over per-facet getters.
-func (s *Store) TableCount() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.tables)
-}
-
-// MemtableBytes returns the active memtable's approximate size.
-//
-// Deprecated: Stats().MemtableBytes reports the same value; prefer one
-// Stats call over per-facet getters.
-func (s *Store) MemtableBytes() int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.active.Size()
 }
 
 // Close flushes and shuts the store down.

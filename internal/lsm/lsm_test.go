@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"sort"
 	"sync"
 	"testing"
@@ -96,8 +97,62 @@ func TestDeleteAcrossFlushAndCompaction(t *testing.T) {
 	if v, ok, _ := s.Get([]byte("stays")); !ok || string(v) != "v" {
 		t.Fatal("live key lost in compaction")
 	}
-	if got := s.TableCount(); got != 1 {
-		t.Fatalf("TableCount after full compaction = %d, want 1", got)
+	if got := s.Stats().Tables; got != 1 {
+		t.Fatalf("tables after full compaction = %d, want 1", got)
+	}
+}
+
+// TestTombstoneFlushThenEmptyCompaction drives both callers of the shared
+// table writer to its edge cases: a flush of a memtable holding only
+// tombstones, then a full compaction whose output is empty because every
+// tombstone shadows a key in the older table. Nothing may come back after a
+// reopen, and no table or temporary file may be left behind.
+func TestTombstoneFlushThenEmptyCompaction(t *testing.T) {
+	dir := t.TempDir()
+	s := openTest(t, Options{Dir: dir, DisableAutoFlush: true})
+	const n = 20
+	for i := 0; i < n; i++ {
+		s.Put([]byte(fmt.Sprintf("k%02d", i)), []byte("v"))
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		s.Delete([]byte(fmt.Sprintf("k%02d", i)))
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if ts := s.TableStats(); len(ts) != 2 || ts[0].Tombstones != n {
+		t.Fatalf("tombstone flush: tables %+v, want 2 with %d tombstones in the newest", ts, n)
+	}
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Stats().Tables; got != 0 {
+		t.Fatalf("tables after an all-tombstone full compaction = %d, want 0", got)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, pattern := range []string{"*" + tmpSuffix, "*.sst"} {
+		if left, _ := filepath.Glob(filepath.Join(dir, pattern)); len(left) != 0 {
+			t.Fatalf("files left behind: %v", left)
+		}
+	}
+
+	re := openTest(t, Options{Dir: dir})
+	if got := re.Stats().Tables; got != 0 {
+		t.Fatalf("tables after reopen = %d, want 0", got)
+	}
+	for i := 0; i < n; i++ {
+		if _, ok, err := re.Get([]byte(fmt.Sprintf("k%02d", i))); ok || err != nil {
+			t.Fatalf("k%02d after reopen: found=%v err=%v", i, ok, err)
+		}
+	}
+	rows := 0
+	if err := scan(re, nil, nil, func(k, v []byte) error { rows++; return nil }); err != nil || rows != 0 {
+		t.Fatalf("scan after reopen: %d rows, err %v", rows, err)
 	}
 }
 
@@ -116,7 +171,7 @@ func TestScanMergesAllSources(t *testing.T) {
 	s.Delete([]byte("a"))
 
 	var got []string
-	err := s.Scan([]byte("a"), nil, func(k, v []byte) error {
+	err := scan(s, []byte("a"), nil, func(k, v []byte) error {
 		got = append(got, fmt.Sprintf("%s=%s", k, v))
 		return nil
 	})
@@ -135,14 +190,14 @@ func TestScanBounds(t *testing.T) {
 		s.Put([]byte(fmt.Sprintf("k%03d", i)), []byte("v"))
 	}
 	count := 0
-	err := s.Scan([]byte("k010"), []byte("k020"), func(k, v []byte) error {
+	err := scan(s, []byte("k010"), []byte("k020"), func(k, v []byte) error {
 		count++
 		return nil
 	})
 	if err != nil || count != 10 {
 		t.Fatalf("scan [k010,k020) = %d entries, err %v; want 10", count, err)
 	}
-	if err := s.Scan([]byte("z"), []byte("a"), func(k, v []byte) error { return nil }); !errors.Is(err, ErrBadRange) {
+	if err := scan(s, []byte("z"), []byte("a"), func(k, v []byte) error { return nil }); !errors.Is(err, ErrBadRange) {
 		t.Fatalf("inverted scan: %v", err)
 	}
 }
@@ -151,7 +206,7 @@ func TestScanCallbackError(t *testing.T) {
 	s := openTest(t, Options{})
 	s.Put([]byte("a"), []byte("1"))
 	sentinel := errors.New("stop")
-	if err := s.Scan(nil, nil, func(k, v []byte) error { return sentinel }); !errors.Is(err, sentinel) {
+	if err := scan(s, nil, nil, func(k, v []byte) error { return sentinel }); !errors.Is(err, sentinel) {
 		t.Fatalf("callback error not propagated: %v", err)
 	}
 }
@@ -249,7 +304,7 @@ func TestClosedStoreRejectsOps(t *testing.T) {
 	if _, _, err := s.Get([]byte("k")); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Get after close: %v", err)
 	}
-	if err := s.Scan(nil, nil, nil); !errors.Is(err, ErrClosed) {
+	if err := scan(s, nil, nil, nil); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Scan after close: %v", err)
 	}
 	if err := s.Close(); err != nil {
@@ -283,8 +338,8 @@ func TestCompactionTriggeredByFileCount(t *testing.T) {
 	if err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.TableCount(); got != 1 {
-		t.Fatalf("TableCount = %d after compaction, want 1", got)
+	if got := s.Stats().Tables; got != 1 {
+		t.Fatalf("tables = %d after compaction, want 1", got)
 	}
 	for f := 0; f < 4; f++ {
 		if _, ok, _ := s.Get([]byte(fmt.Sprintf("f%d", f))); !ok {
@@ -339,7 +394,7 @@ func TestConcurrentWritesAndReads(t *testing.T) {
 	}
 	wg.Wait()
 	total := 0
-	if err := s.Scan(nil, nil, func(k, v []byte) error { total++; return nil }); err != nil {
+	if err := scan(s, nil, nil, func(k, v []byte) error { total++; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if total != writers*per {
@@ -352,7 +407,7 @@ func TestStatsCounters(t *testing.T) {
 	s.Put([]byte("a"), []byte("1"))
 	s.Delete([]byte("a"))
 	s.Get([]byte("a"))
-	s.Scan(nil, nil, func(k, v []byte) error { return nil })
+	scan(s, nil, nil, func(k, v []byte) error { return nil })
 	s.Flush()
 	st := s.Stats()
 	if st.Puts != 1 || st.Deletes != 1 || st.Gets != 1 || st.Scans != 1 || st.Flushes != 1 {
@@ -403,7 +458,7 @@ func TestPropertyMatchesModel(t *testing.T) {
 		}
 		sort.Strings(keys)
 		i := 0
-		err := s.Scan(nil, nil, func(k, v []byte) error {
+		err := scan(s, nil, nil, func(k, v []byte) error {
 			if i >= len(keys) || string(k) != keys[i] || string(v) != model[keys[i]] {
 				return fmt.Errorf("mismatch at %d", i)
 			}
@@ -453,7 +508,7 @@ func BenchmarkScan100(b *testing.B) {
 		lo := []byte(fmt.Sprintf("key-%012d", start))
 		hi := []byte(fmt.Sprintf("key-%012d", start+100))
 		count := 0
-		if err := s.Scan(lo, hi, func(k, v []byte) error { count++; return nil }); err != nil {
+		if err := scan(s, lo, hi, func(k, v []byte) error { count++; return nil }); err != nil {
 			b.Fatal(err)
 		}
 		if count != 100 {
@@ -486,8 +541,8 @@ func TestScanDuringCompactionKeepsReaders(t *testing.T) {
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if s.TableCount() < 2 {
-		t.Fatalf("need several store files, have %d", s.TableCount())
+	if s.Stats().Tables < 2 {
+		t.Fatalf("need several store files, have %d", s.Stats().Tables)
 	}
 
 	var wg sync.WaitGroup
@@ -498,7 +553,7 @@ func TestScanDuringCompactionKeepsReaders(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 5; i++ {
 				n := 0
-				if err := s.Scan(nil, nil, func(k, v []byte) error {
+				if err := scan(s, nil, nil, func(k, v []byte) error {
 					n++
 					return nil
 				}); err != nil {

@@ -67,8 +67,8 @@ func TestManifestAuthoritativeAfterCompactionCrash(t *testing.T) {
 	if err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.TableCount(); got != 1 {
-		t.Fatalf("TableCount after full compaction = %d, want 1", got)
+	if got := s.Stats().Tables; got != 1 {
+		t.Fatalf("tables after full compaction = %d, want 1", got)
 	}
 	crashStore(t, s)
 	for path, data := range stash {

@@ -90,7 +90,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 		sort.Strings(want)
 		i := 0
 		scanOK := true
-		err = re.Scan(nil, nil, func(k, v []byte) error {
+		err = scan(re, nil, nil, func(k, v []byte) error {
 			if i >= len(want) || string(k) != want[i] || string(v) != model[want[i]] {
 				scanOK = false
 			}
@@ -141,7 +141,7 @@ func TestCrashDuringHeavyIngest(t *testing.T) {
 	}
 	defer re.Close()
 	count := 0
-	if err := re.Scan(nil, nil, func(k, v []byte) error { count++; return nil }); err != nil {
+	if err := scan(re, nil, nil, func(k, v []byte) error { count++; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if count != n {

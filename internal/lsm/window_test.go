@@ -87,7 +87,7 @@ func TestColdWindowsSettleToOneTable(t *testing.T) {
 
 	// Nothing lost: 50 readings across the five batches.
 	count := 0
-	if err := s.Scan(nil, nil, func(k, v []byte) error { count++; return nil }); err != nil {
+	if err := scan(s, nil, nil, func(k, v []byte) error { count++; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if count != 50 {
@@ -115,11 +115,11 @@ func TestHotWindowTierMerge(t *testing.T) {
 	if err := s.CompactPending(); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.TableCount(); got != 1 {
-		t.Fatalf("TableCount after hot-tier merge = %d, want 1", got)
+	if got := s.Stats().Tables; got != 1 {
+		t.Fatalf("tables after hot-tier merge = %d, want 1", got)
 	}
 	count := 0
-	if err := s.Scan(nil, nil, func(k, v []byte) error { count++; return nil }); err != nil {
+	if err := scan(s, nil, nil, func(k, v []byte) error { count++; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if count != 30 {
@@ -228,7 +228,7 @@ func TestTimeRangeScanMatchesFilteredScan(t *testing.T) {
 	for _, r := range ranges {
 		tsLo, tsHi := r[0], r[1]
 		var want []entry
-		err := s.Scan(nil, nil, func(k, v []byte) error {
+		err := scan(s, nil, nil, func(k, v []byte) error {
 			if ts, ok := kvp.TimestampOf(k); ok && ts >= tsLo && ts < tsHi {
 				want = append(want, entry{string(k), string(v)})
 			}
@@ -238,7 +238,8 @@ func TestTimeRangeScanMatchesFilteredScan(t *testing.T) {
 			t.Fatal(err)
 		}
 		var got []entry
-		err = s.ScanTime(nil, nil, tsLo, tsHi, func(k, v []byte) error {
+		it, err := s.NewIteratorTime(nil, nil, tsLo, tsHi)
+		err = drain(it, err, func(k, v []byte) error {
 			got = append(got, entry{string(k), string(v)})
 			return nil
 		})
@@ -246,7 +247,7 @@ func TestTimeRangeScanMatchesFilteredScan(t *testing.T) {
 			t.Fatal(err)
 		}
 		if len(got) != len(want) {
-			t.Fatalf("range [%d,%d): ScanTime yielded %d entries, filtered Scan %d", tsLo, tsHi, len(got), len(want))
+			t.Fatalf("range [%d,%d): time-range scan yielded %d entries, filtered scan %d", tsLo, tsHi, len(got), len(want))
 		}
 		for i := range got {
 			if got[i] != want[i] {
@@ -287,11 +288,12 @@ func TestTimeRangePruningSurvivesCrash(t *testing.T) {
 	}
 	defer re.Close()
 	count := 0
-	if err := re.ScanTime(nil, nil, 5000, 6000, func(k, v []byte) error { count++; return nil }); err != nil {
+	it, err := re.NewIteratorTime(nil, nil, 5000, 6000)
+	if err := drain(it, err, func(k, v []byte) error { count++; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if count != 20 {
-		t.Fatalf("ScanTime after recovery found %d readings, want 20", count)
+		t.Fatalf("time-range scan after recovery found %d readings, want 20", count)
 	}
 	if skips := re.Stats().PruneTimeSkips; skips == 0 {
 		t.Fatal("recovered table bounds did not prune the disjoint file")

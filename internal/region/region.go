@@ -4,10 +4,10 @@
 // As in HBase, a table's keyspace is partitioned into contiguous key ranges.
 // Each region owns the half-open interval [StartKey, EndKey) — a nil
 // StartKey means "from the beginning", a nil EndKey "to the end" — and is
-// backed by its own LSM store. Regions can split when they grow beyond a
-// threshold; the TPCx-IoT deployment pre-splits the table on substation-key
-// boundaries instead, which is the documented best practice for the
-// benchmark's uniform ingest.
+// backed by its own LSM store. Regions never split: the TPCx-IoT deployment
+// pre-splits the table on substation-key boundaries, the documented best
+// practice for the benchmark's uniform ingest, and a region keeps its bounds
+// for its whole life.
 package region
 
 import (
@@ -24,7 +24,6 @@ import (
 // Sentinel errors.
 var (
 	ErrOutOfRange = errors.New("region: key outside region bounds")
-	ErrTooSmall   = errors.New("region: not enough data to split")
 )
 
 // Info is a region's identity and bounds.
@@ -157,12 +156,6 @@ func (r *Region) clampRange(lo, hi []byte) (clo, chi []byte) {
 	return lo, hi
 }
 
-// Scan iterates live entries in [lo, hi) clipped to the region bounds.
-func (r *Region) Scan(lo, hi []byte, fn func(key, value []byte) error) error {
-	lo, hi = r.clampRange(lo, hi)
-	return r.store.Scan(lo, hi, fn)
-}
-
 // NewIterator opens a streaming snapshot iterator over [lo, hi) clipped to
 // the region bounds. The iterator pins the store snapshot captured here —
 // it survives concurrent flushes and compactions — and must be closed.
@@ -185,14 +178,6 @@ func (r *Region) TableStats() []lsm.TableStat { return r.store.TableStats() }
 // TierStats reports the backing store's table set grouped by compaction
 // time window, newest first.
 func (r *Region) TierStats() []lsm.TierStat { return r.store.TierStats() }
-
-// ScanTime iterates live entries in [lo, hi) clipped to the region bounds,
-// restricted to key timestamps in [minTS, maxTS) unix ms. Table files whose
-// time bounds fall outside the range are pruned without I/O.
-func (r *Region) ScanTime(lo, hi []byte, minTS, maxTS int64, fn func(key, value []byte) error) error {
-	lo, hi = r.clampRange(lo, hi)
-	return r.store.ScanTime(lo, hi, minTS, maxTS, fn)
-}
 
 // AggregateTime folds live entries in [lo, hi) clipped to the region
 // bounds, restricted to key timestamps in [minTS, maxTS), into per-series
@@ -220,62 +205,3 @@ func (r *Region) Close() error { return r.store.Close() }
 
 // Destroy closes the region and removes its files.
 func (r *Region) Destroy() error { return r.store.Destroy() }
-
-// SplitPoint scans the region and returns the median key, the split point a
-// size-based split policy would choose. Returns ErrTooSmall with fewer than
-// two distinct keys.
-func (r *Region) SplitPoint() ([]byte, error) {
-	var keys [][]byte
-	if err := r.Scan(nil, nil, func(k, _ []byte) error {
-		keys = append(keys, append([]byte(nil), k...))
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	if len(keys) < 2 {
-		return nil, ErrTooSmall
-	}
-	return keys[len(keys)/2], nil
-}
-
-// Split divides the region at split into two children, rewriting the data
-// into fresh stores under dir (a compacting split). The parent remains open;
-// the caller is responsible for retiring it after installing the children.
-func (r *Region) Split(split []byte, dir string, storeOpts lsm.Options) (left, right *Region, err error) {
-	if !r.info.Contains(split) {
-		return nil, nil, fmt.Errorf("%w: split key %q", ErrOutOfRange, split)
-	}
-	leftInfo := Info{
-		Table:    r.info.Table,
-		Name:     r.info.Name + "-l",
-		StartKey: r.info.StartKey,
-		EndKey:   append([]byte(nil), split...),
-	}
-	rightInfo := Info{
-		Table:    r.info.Table,
-		Name:     r.info.Name + "-r",
-		StartKey: append([]byte(nil), split...),
-		EndKey:   r.info.EndKey,
-	}
-	left, err = Open(leftInfo, dir, storeOpts)
-	if err != nil {
-		return nil, nil, err
-	}
-	right, err = Open(rightInfo, dir, storeOpts)
-	if err != nil {
-		left.Destroy()
-		return nil, nil, err
-	}
-	err = r.Scan(nil, nil, func(k, v []byte) error {
-		if bytes.Compare(k, split) < 0 {
-			return left.Put(k, v)
-		}
-		return right.Put(k, v)
-	})
-	if err != nil {
-		left.Destroy()
-		right.Destroy()
-		return nil, nil, err
-	}
-	return left, right, nil
-}

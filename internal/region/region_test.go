@@ -82,82 +82,31 @@ func TestScanClipsToBounds(t *testing.T) {
 		}
 	}
 	// A scan wider than the region must be clipped, not error.
-	count := 0
-	if err := r.Scan(nil, nil, func(k, v []byte) error { count++; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if count != 100 {
+	if count := countRange(t, r, nil, nil); count != 100 {
 		t.Fatalf("unbounded scan returned %d, want 100", count)
 	}
-	count = 0
-	if err := r.Scan([]byte("k000"), []byte("k150"), func(k, v []byte) error { count++; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if count != 50 {
+	if count := countRange(t, r, []byte("k000"), []byte("k150")); count != 50 {
 		t.Fatalf("clipped scan returned %d, want 50", count)
 	}
 }
 
-func TestSplit(t *testing.T) {
-	parent := openRegion(t, nil, nil)
-	const n = 100
-	for i := 0; i < n; i++ {
-		if err := parent.Put([]byte(fmt.Sprintf("k%03d", i)), []byte(fmt.Sprintf("v%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	split, err := parent.SplitPoint()
+// countRange drains a region iterator over [lo, hi) and returns how many
+// live entries it yielded.
+func countRange(t *testing.T, r *Region, lo, hi []byte) int {
+	t.Helper()
+	it, err := r.NewIterator(lo, hi)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(split) != "k050" {
-		t.Fatalf("median split point = %q, want k050", split)
+	defer it.Close()
+	count := 0
+	for ; it.Valid(); it.Next() {
+		count++
 	}
-	left, right, err := parent.Split(split, t.TempDir(), testOpts())
-	if err != nil {
+	if err := it.Error(); err != nil {
 		t.Fatal(err)
 	}
-	defer left.Close()
-	defer right.Close()
-
-	countRegion := func(r *Region) int {
-		count := 0
-		if err := r.Scan(nil, nil, func(k, v []byte) error { count++; return nil }); err != nil {
-			t.Fatal(err)
-		}
-		return count
-	}
-	if l, rr := countRegion(left), countRegion(right); l != 50 || rr != 50 {
-		t.Fatalf("split children hold %d + %d entries, want 50 + 50", l, rr)
-	}
-	// Children's bounds partition the parent's range.
-	if string(left.Info().EndKey) != string(split) || string(right.Info().StartKey) != string(split) {
-		t.Fatal("split children bounds do not meet at the split key")
-	}
-	// Every key readable from exactly its child.
-	if _, ok, _ := left.Get([]byte("k010")); !ok {
-		t.Fatal("left child missing k010")
-	}
-	if _, ok, _ := right.Get([]byte("k070")); !ok {
-		t.Fatal("right child missing k070")
-	}
-	if _, _, err := left.Get([]byte("k070")); !errors.Is(err, ErrOutOfRange) {
-		t.Fatal("left child accepted right-half key")
-	}
-}
-
-func TestSplitRejectsBadKeyAndSmallRegion(t *testing.T) {
-	r := openRegion(t, []byte("b"), []byte("m"))
-	if _, _, err := r.Split([]byte("z"), t.TempDir(), testOpts()); !errors.Is(err, ErrOutOfRange) {
-		t.Fatalf("split outside bounds: %v", err)
-	}
-	if _, err := r.SplitPoint(); !errors.Is(err, ErrTooSmall) {
-		t.Fatalf("split point of empty region: %v", err)
-	}
-	r.Put([]byte("c"), []byte("v"))
-	if _, err := r.SplitPoint(); !errors.Is(err, ErrTooSmall) {
-		t.Fatalf("split point of single-key region: %v", err)
-	}
+	return count
 }
 
 func TestDestroy(t *testing.T) {

@@ -255,11 +255,6 @@ func (w *Writer) Abort() {
 // EntryCount returns the number of entries added so far.
 func (w *Writer) EntryCount() uint64 { return w.entries }
 
-// EstimatedSize returns the bytes written plus the pending block.
-func (w *Writer) EstimatedSize() uint64 {
-	return w.offset + uint64(w.data.estimatedSize())
-}
-
 // TimeBounds reports the min/max timestamps extracted from added keys so
 // far; ok is false when no key carried one.
 func (w *Writer) TimeBounds() (min, max int64, ok bool) {

@@ -46,10 +46,3 @@ func (s Span) End() {
 	}
 	s.h.Record(time.Since(s.start).Nanoseconds())
 }
-
-// StartSpan opens a span for a named stage directly on a registry: the
-// convenience form for cold paths. Hot paths should hold a *Timer instead
-// to avoid the per-call name lookup. Safe on a nil registry.
-func StartSpan(r *Registry, name string) Span {
-	return r.Timer(name).Start()
-}

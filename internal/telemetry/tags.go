@@ -109,15 +109,6 @@ func (r *Registry) CounterTagged(name string, tags ...Tag) *Counter {
 	return r.Counter(Tagged(name, tags...))
 }
 
-// TimerTagged returns the stage timer for name under the given tag set. A
-// nil registry returns a nil (no-op) timer.
-func (r *Registry) TimerTagged(name string, tags ...Tag) *Timer {
-	if r == nil {
-		return nil
-	}
-	return r.Timer(Tagged(name, tags...))
-}
-
 // GaugeTagged registers a read-on-snapshot gauge under a tagged name. No-op
 // on a nil registry.
 func (r *Registry) GaugeTagged(name string, fn func() int64, tags ...Tag) {

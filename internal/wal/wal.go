@@ -4,10 +4,9 @@
 // the memstore, so a crash between acknowledgement and flush loses nothing.
 // The log is a sequence of fixed-capacity segment files; once the memstore
 // contents covered by a segment have been flushed into SSTables the segment
-// can be truncated away. The paper's HBase tuning caps the number of WAL
-// files at 128 — Options.MaxSegments models the same backpressure: when the
-// cap is hit, appends fail with ErrLogFull until the engine flushes and
-// truncates (HBase reacts by forcing memstore flushes).
+// can be truncated away. The log has no segment cap: the live kit does not
+// model the paper's hbase.regionserver.maxlogs = 128. Segments accumulate
+// until the engine truncates them after a flush.
 package wal
 
 import (
@@ -32,7 +31,6 @@ import (
 var (
 	ErrClosed    = errors.New("wal: log is closed")
 	ErrCorrupt   = errors.New("wal: corrupt record")
-	ErrLogFull   = errors.New("wal: segment cap reached; flush and truncate first")
 	ErrTooLarge  = errors.New("wal: record exceeds maximum size")
 	ErrBadOption = errors.New("wal: invalid option")
 )
@@ -67,8 +65,6 @@ type Options struct {
 	Dir string
 	// SegmentSize is the rotation threshold in bytes. Defaults to 64 MiB.
 	SegmentSize int64
-	// MaxSegments caps live (untruncated) segments; 0 means unlimited.
-	MaxSegments int
 	// Sync selects the durability policy.
 	Sync SyncPolicy
 	// Registry, when non-nil, receives the log's telemetry: the counters
@@ -91,9 +87,6 @@ func (o *Options) withDefaults() (Options, error) {
 	}
 	if out.SegmentSize < 1024 {
 		return out, fmt.Errorf("%w: SegmentSize %d too small", ErrBadOption, out.SegmentSize)
-	}
-	if out.MaxSegments < 0 {
-		return out, fmt.Errorf("%w: negative MaxSegments", ErrBadOption)
 	}
 	return out, nil
 }
@@ -223,11 +216,10 @@ func (l *Log) openSegmentLocked(seq uint64) error {
 
 // Append writes the records as one atomic group: either all records are
 // durable after a successful return (under SyncOnAppend) or, after a crash,
-// replay stops at the first incomplete record. Returns ErrLogFull when the
-// segment cap is reached. Concurrent appenders under SyncOnAppend share
-// fsyncs via group commit. When parent is live, the fsync performed by a
-// group-commit leader appears as a "wal.fsync" child span (a follower whose
-// durability another writer's fsync covered records none).
+// replay stops at the first incomplete record. Concurrent appenders under
+// SyncOnAppend share fsyncs via group commit. When parent is live, the fsync
+// performed by a group-commit leader appears as a "wal.fsync" child span (a
+// follower whose durability another writer's fsync covered records none).
 func (l *Log) Append(parent telemetry.TSpan, records ...[]byte) error {
 	sp := l.appendSpan.Start()
 	err := l.append(records, parent)
@@ -255,10 +247,6 @@ func (l *Log) append(records [][]byte, trace telemetry.TSpan) error {
 			l.mu.Unlock()
 			return fmt.Errorf("%w: %d bytes", ErrTooLarge, len(rec))
 		}
-	}
-	if l.opts.MaxSegments > 0 && len(l.segments) > l.opts.MaxSegments {
-		l.mu.Unlock()
-		return ErrLogFull
 	}
 	for _, rec := range records {
 		var hdr [headerLen]byte

@@ -105,33 +105,6 @@ func TestRotation(t *testing.T) {
 	}
 }
 
-func TestMaxSegmentsBackpressure(t *testing.T) {
-	dir := t.TempDir()
-	l := openTest(t, Options{Dir: dir, SegmentSize: 1024, MaxSegments: 3})
-	rec := make([]byte, 600)
-	var full bool
-	for i := 0; i < 20; i++ {
-		if err := l.Append(telemetry.TSpan{}, rec); err != nil {
-			if errors.Is(err, ErrLogFull) {
-				full = true
-				break
-			}
-			t.Fatal(err)
-		}
-	}
-	if !full {
-		t.Fatal("never hit ErrLogFull with a 3-segment cap")
-	}
-	// Truncating old segments must unblock appends.
-	if err := l.Truncate(l.ActiveSegment()); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Append(telemetry.TSpan{}, rec); err != nil {
-		t.Fatalf("append after truncate: %v", err)
-	}
-	l.Close()
-}
-
 func TestTruncateRemovesFiles(t *testing.T) {
 	dir := t.TempDir()
 	l := openTest(t, Options{Dir: dir, SegmentSize: 1024})
@@ -287,9 +260,6 @@ func TestBadOptions(t *testing.T) {
 	}
 	if _, err := Open(Options{Dir: t.TempDir(), SegmentSize: 10}); !errors.Is(err, ErrBadOption) {
 		t.Fatalf("tiny segment: %v", err)
-	}
-	if _, err := Open(Options{Dir: t.TempDir(), MaxSegments: -1}); !errors.Is(err, ErrBadOption) {
-		t.Fatalf("negative cap: %v", err)
 	}
 }
 

@@ -1,8 +1,6 @@
 package workload
 
 import (
-	"errors"
-
 	"tpcxiot/internal/hbase"
 	"tpcxiot/internal/lsm"
 	"tpcxiot/internal/ycsb"
@@ -20,19 +18,6 @@ func (d clientDB) Insert(key, value []byte) error { return d.c.Put(key, value) }
 
 // Read implements ycsb.DB.
 func (d clientDB) Read(key []byte) ([]byte, bool, error) { return d.c.Get(key) }
-
-// Scan implements ycsb.DB.
-func (d clientDB) Scan(lo, hi []byte, limit int) ([]ycsb.KV, error) {
-	rows, err := d.c.Scan(lo, hi, limit)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]ycsb.KV, len(rows))
-	for i, r := range rows {
-		out[i] = ycsb.KV{Key: r.Key, Value: r.Value}
-	}
-	return out, nil
-}
 
 // ScanIter implements ycsb.DB over the client's streaming Scanner: rows
 // arrive chunk by chunk from the server-side scanner sessions, so the
@@ -128,25 +113,6 @@ func (d storeDB) Insert(key, value []byte) error { return d.s.Put(key, value) }
 // Read implements ycsb.DB.
 func (d storeDB) Read(key []byte) ([]byte, bool, error) { return d.s.Get(key) }
 
-// Scan implements ycsb.DB.
-func (d storeDB) Scan(lo, hi []byte, limit int) ([]ycsb.KV, error) {
-	var out []ycsb.KV
-	err := d.s.Scan(lo, hi, func(k, v []byte) error {
-		out = append(out, ycsb.KV{
-			Key:   append([]byte(nil), k...),
-			Value: append([]byte(nil), v...),
-		})
-		if limit > 0 && len(out) >= limit {
-			return errStopScan
-		}
-		return nil
-	})
-	if err == errStopScan {
-		err = nil
-	}
-	return out, err
-}
-
 // ScanIter implements ycsb.DB directly over the engine's snapshot-pinned
 // iterator — the zero-copy embedded path: rows are borrowed from the LSM
 // snapshot until the next call, exactly the RowIter contract.
@@ -201,8 +167,6 @@ func (d storeDB) Aggregate(lo, hi []byte, minTS, maxTS, windowMS int64, funcs yc
 
 // Close implements ycsb.DB; the store is shared, so this is a no-op.
 func (d storeDB) Close() error { return nil }
-
-var errStopScan = errors.New("workload: scan limit reached")
 
 // StoreBinding returns a ycsb.Binding over one embedded LSM store shared by
 // all worker threads (the store is safe for concurrent use).

@@ -37,12 +37,12 @@ func TestStoreBindingEndToEnd(t *testing.T) {
 		t.Fatal("no queries ran against the embedded store")
 	}
 	// Everything readable directly from the store.
-	count := 0
-	if err := s.Scan(nil, nil, func(k, v []byte) error { count++; return nil }); err != nil {
+	rows, err := collect(storeDB{s}, nil, nil, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if count != 4_000 {
-		t.Fatalf("store holds %d rows", count)
+	if len(rows) != 4_000 {
+		t.Fatalf("store holds %d rows", len(rows))
 	}
 }
 
@@ -56,11 +56,11 @@ func TestStoreBindingScanLimit(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		db.Insert([]byte{byte(i)}, []byte("v"))
 	}
-	rows, err := db.Scan(nil, nil, 10)
+	rows, err := collect(db, nil, nil, 10)
 	if err != nil || len(rows) != 10 {
 		t.Fatalf("limited scan: %d rows, %v", len(rows), err)
 	}
-	rows, err = db.Scan([]byte{5}, []byte{15}, 0)
+	rows, err = collect(db, []byte{5}, []byte{15}, 0)
 	if err != nil || len(rows) != 10 {
 		t.Fatalf("bounded scan: %d rows, %v", len(rows), err)
 	}

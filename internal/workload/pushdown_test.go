@@ -207,11 +207,11 @@ func TestSequencerUniqueAcrossExecutions(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	count := 0
-	if err := s.Scan(nil, nil, func(k, v []byte) error { count++; return nil }); err != nil {
+	rows, err := collect(storeDB{s}, nil, nil, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if count != 2*perRun {
+	if count := len(rows); count != 2*perRun {
 		t.Fatalf("store holds %d rows after two %d-row executions: %d keys collided",
 			count, perRun, 2*perRun-count)
 	}

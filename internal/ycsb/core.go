@@ -117,11 +117,27 @@ func (t *coreThread) Next(db DB) (OpKind, bool, error) {
 			maxLen = 100
 		}
 		length := int(t.rng.Int63n(int64(maxLen))) + 1
-		_, err := db.Scan(CoreKey(n), nil, length)
-		return OpScan, false, err
+		return OpScan, false, scanRows(db, CoreKey(n), length)
 	default: // OpRead
 		n := t.chooser.Next()
 		_, _, err := db.Read(CoreKey(n))
 		return OpRead, false, err
+	}
+}
+
+// scanRows reads up to limit rows from key onward, as a YCSB scan does.
+func scanRows(db DB, key []byte, limit int) error {
+	it, err := db.ScanIter(key, nil, limit)
+	if err != nil {
+		return err
+	}
+	for {
+		_, ok, err := it.Next()
+		if err != nil || !ok {
+			if cerr := it.Close(); err == nil {
+				err = cerr
+			}
+			return err
+		}
 	}
 }

@@ -54,8 +54,9 @@ func (m *MemDB) sortLocked() {
 	m.dirty = false
 }
 
-// Scan implements DB.
-func (m *MemDB) Scan(lo, hi []byte, limit int) ([]KV, error) {
+// ScanIter implements DB by copying the range under the lock and streaming
+// the copy — the reference binding has no streaming backend.
+func (m *MemDB) ScanIter(lo, hi []byte, limit int) (RowIter, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.sortLocked()
@@ -76,17 +77,7 @@ func (m *MemDB) Scan(lo, hi []byte, limit int) ([]KV, error) {
 			Value: append([]byte(nil), m.vals[string(k)]...),
 		})
 	}
-	return out, nil
-}
-
-// ScanIter implements DB by materializing under the lock and streaming the
-// copy — the reference binding has no streaming backend.
-func (m *MemDB) ScanIter(lo, hi []byte, limit int) (RowIter, error) {
-	rows, err := m.Scan(lo, hi, limit)
-	if err != nil {
-		return nil, err
-	}
-	return SliceIter(rows), nil
+	return SliceIter(out), nil
 }
 
 // Len returns the number of stored records.

@@ -38,12 +38,9 @@ type DB interface {
 	Insert(key, value []byte) error
 	// Read fetches one key.
 	Read(key []byte) (value []byte, found bool, err error)
-	// Scan returns rows with lo <= key < hi, at most limit (0 = unlimited),
-	// materialized as one slice.
-	Scan(lo, hi []byte, limit int) ([]KV, error)
-	// ScanIter streams the same rows one at a time, in O(1) binding-side
-	// memory for backends with a streaming scan path. The caller must
-	// Close the iterator.
+	// ScanIter streams rows with lo <= key < hi, at most limit (0 =
+	// unlimited), one at a time, in O(1) binding-side memory for backends
+	// with a streaming scan path. The caller must Close the iterator.
 	ScanIter(lo, hi []byte, limit int) (RowIter, error)
 	// Close releases the binding.
 	Close() error

@@ -258,14 +258,14 @@ func TestMemDBScanSemantics(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		db.Insert([]byte(fmt.Sprintf("k%02d", i)), []byte(fmt.Sprintf("v%d", i)))
 	}
-	rows, err := db.Scan([]byte("k03"), []byte("k07"), 0)
+	rows, err := collect(db, []byte("k03"), []byte("k07"), 0)
 	if err != nil || len(rows) != 4 {
 		t.Fatalf("scan = %d rows, %v", len(rows), err)
 	}
 	if string(rows[0].Key) != "k03" || string(rows[3].Key) != "k06" {
 		t.Fatalf("scan bounds wrong: %q..%q", rows[0].Key, rows[3].Key)
 	}
-	rows, _ = db.Scan([]byte("k00"), nil, 3)
+	rows, _ = collect(db, []byte("k00"), nil, 3)
 	if len(rows) != 3 {
 		t.Fatalf("limited scan = %d rows", len(rows))
 	}
@@ -390,5 +390,23 @@ func TestStatusDisabledByDefault(t *testing.T) {
 	}
 	if called {
 		t.Fatal("status callback fired without an interval")
+	}
+}
+
+// collect drains db.ScanIter over [lo, hi) with the given row limit,
+// copying each row: a RowIter may lend its slices only until the next call.
+func collect(db DB, lo, hi []byte, limit int) ([]KV, error) {
+	it, err := db.ScanIter(lo, hi, limit)
+	if err != nil {
+		return nil, err
+	}
+	defer it.Close()
+	var rows []KV
+	for {
+		kv, ok, err := it.Next()
+		if err != nil || !ok {
+			return rows, err
+		}
+		rows = append(rows, KV{Key: append([]byte(nil), kv.Key...), Value: append([]byte(nil), kv.Value...)})
 	}
 }
